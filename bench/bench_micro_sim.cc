@@ -44,19 +44,15 @@ BENCHMARK(BM_EventQueueScheduleRun)->Arg(1 << 10)->Arg(1 << 14);
 void
 BM_EventQueueScheduleRunClustered(benchmark::State &state)
 {
-    // Device-shaped load on the tuned calendar wheel: completions
-    // arrive in same-tick ties of 8 (multi-plane completions), on
-    // four fixed NAND latencies, and each handler reschedules a
-    // follow-up — the shape the two-tier queue and batched dispatch
-    // are built for. Compare against BM_EventQueueScheduleRun to see
-    // the wheel + batch win; scripts/run_benchmarks.sh gates this
-    // against the committed baseline.
+    // Device-shaped load: completions arrive in same-tick ties of 8
+    // (multi-plane completions), on four fixed NAND latencies, and
+    // each handler reschedules a follow-up. scripts/run_benchmarks.sh
+    // gates this against the committed baseline.
     static constexpr sim::Time kLat[4] = {160'000, 244'000, 1'385'000,
                                           3'800'000};
     const auto n = static_cast<std::uint64_t>(state.range(0));
     for (auto _ : state) {
         sim::Simulator s;
-        s.tuneEventHorizon(kLat[0], kLat[3]);
         std::uint64_t fired = 0;
         std::uint64_t budget = 4 * n;
         std::function<void()> tick = [&] {

@@ -27,7 +27,7 @@
 # bench/BENCH_simcore.json: a drop of more than 25% in
 # items_per_second fails the run. The wide tolerance absorbs
 # machine-to-machine noise while still catching a real event-core
-# regression (the two-tier queue's reason to exist).
+# regression.
 #
 # Usage: scripts/run_benchmarks.sh [output.json]
 #   BUILD_DIR=<dir>           build tree to use (default: build)

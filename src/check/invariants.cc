@@ -256,25 +256,15 @@ checkEventQueue(const sim::Simulator &simulator, CheckContext &ctx)
     ctx.check(q.arenaSlots() <= q.scheduledCount(),
               "event arena: more slots than events ever scheduled");
 
-    // Two-tier coverage: every live event holds exactly one pending
-    // entry somewhere — wheel buckets, overflow heap, the staged
-    // sorted run, or the unfired tail of an in-flight dispatch
-    // batch — and the only extra entries are the lazily deleted dead
-    // ones. (auditInvariants walks the tiers entry by entry; this is
-    // the cheap closed-form cross-check over the public counters.)
-    ctx.check(q.wheelOccupancy() + q.overflowSize() +
-                      q.stagedRunEntries() + q.batchTailEntries() ==
+    // Pending coverage: every live event holds exactly one pending
+    // entry in the heap or the staged sorted run, and the only extra
+    // entries are the lazily deleted dead ones. (auditInvariants
+    // walks both entry by entry; this is the cheap closed-form
+    // cross-check over the public counters.)
+    ctx.check(q.heapEntries() + q.stagedRunEntries() ==
                   q.size() + q.deadHeapEntries(),
-              "event queue: tier occupancy does not cover live + "
+              "event queue: heap + run occupancy does not cover live + "
               "dead entries");
-    ctx.check(q.wheelTuned() || q.wheelOccupancy() == 0,
-              "event queue: untuned wheel holds entries");
-    ctx.check(q.wheelScheduled() + q.overflowScheduled() <=
-                  q.scheduledCount(),
-              "event queue: tier schedule counters exceed the "
-              "ever-scheduled count");
-    ctx.check(q.batchedEvents() <= simulator.executedCount(),
-              "event queue: more batched events than were executed");
 }
 
 void

@@ -60,10 +60,10 @@ void registerReplayerMetrics(Registry &registry,
                              const std::string &prefix = "");
 
 /**
- * Register event-core scheduler metrics ("sim.events.*"): arena
- * occupancy, calendar-wheel bucket occupancy and overflow-heap size,
- * wheel/overflow schedule counts, epoch advances and promotions, and
- * dispatch-batch statistics. Pure pull-side closures over the queue's
+ * Register event-core scheduler metrics ("sim.events.*"): schedule,
+ * compaction and drain-sort counts, live events, heap and staged-run
+ * occupancy, and the arena high-water mark. Pure pull-side closures
+ * over the queue's
  * existing counters — nothing is added to the event hot path, and a
  * run without --metrics never reads them (zero-cost when off).
  */

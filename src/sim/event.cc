@@ -1,7 +1,6 @@
 #include "sim/event.hh"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -21,13 +20,10 @@ EventQueue::cancel(EventId id)
     EMMCSIM_DCHECK(liveCount_ > 0,
                    "cancel with zero live events (ledger drift)");
     --liveCount_;
-    // The pending entry (wheel bucket, heap, drain run, or batch
-    // tail) stays behind as a dead entry (lazy delete). Compaction
-    // waits out an in-flight batch: it cannot reach the batch tail,
-    // so sweeping mid-batch would zero the dead-entry ledger while
-    // dead tail entries remain.
+    // The pending entry (heap or drain run) stays behind as a dead
+    // entry (lazy delete).
     ++deadEntries_;
-    if (!batchActive_ && deadEntries_ > pendingEntries() / 2 &&
+    if (deadEntries_ > pendingEntries() / 2 &&
         pendingEntries() >= kCompactMin)
         compact();
     return true;
@@ -39,132 +35,6 @@ EventQueue::retireSlot(std::uint32_t slot)
     slotAt(slot).action = nullptr; // release captured state eagerly
     ++slotAt(slot).gen;            // invalidate outstanding handles
     freelist_.push_back(slot);
-}
-
-void
-EventQueue::tuneWheel(Time shortestLatency, Time longestLatency)
-{
-    EMMCSIM_ASSERT(shortestLatency > 0 &&
-                       longestLatency >= shortestLatency,
-                   "wheel tuning wants 0 < shortest <= longest");
-    EMMCSIM_ASSERT(!batchActive_,
-                   "tuneWheel from inside a dispatch batch");
-    // Retuning (or tuning with events pending): pull every staged
-    // entry back into the heap so nothing is stranded in a bucket
-    // the new geometry no longer covers.
-    if (tuned_)
-        flushWheelToHeap();
-
-    // Bucket width: the largest power of two not above a quarter of
-    // the shortest recurring latency, so even the tightest completion
-    // cluster spreads over ~4 buckets; floored so a degenerate config
-    // cannot ask for nanosecond buckets.
-    unsigned shift = kMinBucketShift;
-    while ((Time{1} << (shift + 1)) <= shortestLatency / 4 &&
-           shift + 1 < 40)
-        ++shift;
-    bucketShift_ = shift;
-
-    // Window span: four times the longest latency, so an op scheduled
-    // from anywhere in the first three quarters of the window still
-    // lands in-wheel (measured on the clustered-latency benchmark,
-    // 2x leaves ~18% of schedules overflowing, 4x ~9%).
-    const Time width = Time{1} << bucketShift_;
-    std::size_t want = static_cast<std::size_t>(
-        (4 * longestLatency + width - 1) >> bucketShift_);
-    std::size_t n = kMinBuckets;
-    while (n < want && n < kMaxBuckets)
-        n <<= 1;
-    nBuckets_ = n;
-    buckets_.resize(nBuckets_);
-    wheelBase_ = lastPopTime_ & ~(width - 1);
-    nextScan_ = 0;
-    tuned_ = true;
-}
-
-void
-EventQueue::flushWheelToHeap()
-{
-    for (std::size_t i = runPos_; i < run_.size(); ++i)
-        heapPush(run_[i]);
-    run_.clear();
-    runPos_ = 0;
-    for (std::vector<HeapEntry> &b : buckets_) {
-        for (const HeapEntry &e : b)
-            heapPush(e);
-        b.clear();
-    }
-    wheelCount_ = 0;
-    nextScan_ = 0;
-}
-
-void
-EventQueue::refill() const
-{
-    // The run is consumed; stage whatever serves the next pops.
-    if (!tuned_) {
-        if (heap_.size() >= kDrainSortMin)
-            sortPendingIntoRun();
-        return;
-    }
-    while (true) {
-        std::size_t i = nextScan_;
-        while (i < nBuckets_ && buckets_[i].empty())
-            ++i;
-        if (i == nBuckets_) {
-            // Wheel drained: re-anchor the window on the overflow
-            // front (an epoch advance) and promote the near-horizon
-            // overflow back into buckets. Perf-only, so it is skipped
-            // mid-batch — a promotion could hide a same-tick entry
-            // from the batch's heap-front interleave probe.
-            if (batchActive_)
-                return;
-            while (!heap_.empty() && !entryLive(heap_.front())) {
-                heapPopFront();
-                EMMCSIM_DCHECK(deadEntries_ > 0,
-                               "dead heap entry not accounted for");
-                --deadEntries_;
-            }
-            if (heap_.empty())
-                return;
-            const Time width = Time{1} << bucketShift_;
-            const Time span = static_cast<Time>(nBuckets_)
-                              << bucketShift_;
-            const Time front = heap_.front().when;
-            if (front > std::numeric_limits<Time>::max() - span)
-                return; // pathological far-future timer; serve as heap
-            wheelBase_ = front & ~(width - 1);
-            nextScan_ = 0;
-            ++epochs_;
-            const Time wheelEnd = wheelBase_ + span;
-            while (!heap_.empty() && heap_.front().when < wheelEnd) {
-                const HeapEntry e = heap_.front();
-                heapPopFront();
-                if (!entryLive(e)) {
-                    EMMCSIM_DCHECK(deadEntries_ > 0,
-                                   "dead heap entry not accounted "
-                                   "for");
-                    --deadEntries_;
-                    continue;
-                }
-                buckets_[bucketIndex(e.when)].push_back(e);
-                ++wheelCount_;
-                ++promotions_;
-            }
-            continue; // rescan: buckets now hold the promoted work
-        }
-        // Serve the heap directly when its front precedes everything
-        // the wheel still holds (bucket i's entries are all >= its
-        // start time).
-        if (!heap_.empty() && heap_.front().when < bucketStart(i))
-            return;
-        run_.swap(buckets_[i]);
-        wheelCount_ -= run_.size();
-        nextScan_ = i + 1;
-        sortRunEntries();
-        runPos_ = 0;
-        return;
-    }
 }
 
 void
@@ -255,11 +125,8 @@ void
 EventQueue::compact()
 {
     // Sweep every dead entry in place — the run keeps its sorted
-    // order, wheel buckets their (unsorted) contents, and the heap is
-    // rebuilt bottom-up (Floyd): O(n) total, amortised O(1) per
-    // cancel by the > n/2 trigger. Never called mid-batch (see
-    // cancel()), so the batch tail holds no entries to sweep.
-    EMMCSIM_DCHECK(!batchActive_, "compaction inside a dispatch batch");
+    // order and the heap is rebuilt bottom-up (Floyd): O(n) total,
+    // amortised O(1) per cancel by the > n/2 trigger.
     std::size_t runKept = 0;
     for (std::size_t i = runPos_; i < run_.size(); ++i) {
         if (entryLive(run_[i]))
@@ -267,16 +134,6 @@ EventQueue::compact()
     }
     run_.resize(runKept);
     runPos_ = 0;
-    for (std::size_t b = nextScan_; b < nBuckets_; ++b) {
-        std::vector<HeapEntry> &bucket = buckets_[b];
-        std::size_t bKept = 0;
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            if (entryLive(bucket[i]))
-                bucket[bKept++] = bucket[i];
-        }
-        wheelCount_ -= bucket.size() - bKept;
-        bucket.resize(bKept);
-    }
     std::size_t kept = 0;
     for (std::size_t i = 0; i < heap_.size(); ++i) {
         if (entryLive(heap_[i]))
@@ -294,29 +151,10 @@ EventQueue::compact()
 Time
 EventQueue::nextTime() const
 {
-    // Mid-batch the earliest pending work is the current tick for as
-    // long as any live batch-tail entry remains (audit hooks and
-    // samplers call this between batch entries).
-    if (batchActive_) {
-        for (std::size_t i = batchPos_; i < batch_.size(); ++i) {
-            if (entryLive(batch_[i]))
-                return batchTick_;
-        }
-    }
-    dropDeadFronts();
-    while (runPos_ >= run_.size()) {
-        refill();
-        if (runPos_ >= run_.size())
-            break;
-        dropDeadFronts();
-    }
-    const bool haveRun = runPos_ < run_.size();
-    if (!haveRun && heap_.empty())
-        return kTimeNever;
-    if (haveRun &&
-        (heap_.empty() || earlier(run_[runPos_], heap_.front())))
+    settleFronts();
+    if (runFrontFirst())
         return run_[runPos_].when;
-    return heap_.front().when;
+    return heap_.empty() ? kTimeNever : heap_.front().when;
 }
 
 bool
@@ -400,9 +238,8 @@ EventQueue::auditInvariants(std::vector<std::string> &violations) const
           "event queue: live slot lost its action");
 
     // Pending coverage: each live slot has exactly one live entry
-    // across *all* tiers — overflow heap, the unconsumed tail of the
-    // drain run, wheel buckets, and the unfired tail of an in-flight
-    // dispatch batch — and the dead-entry counter equals the recount.
+    // across the heap and the unconsumed tail of the drain run, and
+    // the dead-entry counter equals the recount.
     std::size_t liveEntries = 0;
     std::size_t deadEntries = 0;
     std::vector<bool> seen(slotCount_, false);
@@ -427,21 +264,6 @@ EventQueue::auditInvariants(std::vector<std::string> &violations) const
         visit(e);
     for (std::size_t i = runPos_; i < run_.size(); ++i)
         visit(run_[i]);
-    std::size_t bucketEntries = 0;
-    bool bucketsFiled = true;
-    bool consumedBucketsEmpty = true;
-    for (std::size_t b = 0; b < nBuckets_; ++b) {
-        if (b < nextScan_ && !buckets_[b].empty())
-            consumedBucketsEmpty = false;
-        bucketEntries += buckets_[b].size();
-        for (const HeapEntry &e : buckets_[b]) {
-            if (bucketIndex(e.when) != b)
-                bucketsFiled = false;
-            visit(e);
-        }
-    }
-    for (std::size_t i = batchPos_; i < batch_.size(); ++i)
-        visit(batch_[i]);
     check(!duplicated,
           "event queue: live slot appears twice in the pending set");
     check(liveEntries == liveCount_,
@@ -450,23 +272,9 @@ EventQueue::auditInvariants(std::vector<std::string> &violations) const
     check(deadEntries == deadEntries_,
           "event queue: dead-entry counter disagrees with a recount");
 
-    // Wheel-tier structure: the occupancy counter matches a recount,
-    // entries sit in the bucket their time maps to, consumed buckets
-    // are empty, and the scan cursor is in range.
-    check(bucketEntries == wheelCount_,
-          "event queue: wheel occupancy disagrees with a recount");
-    check(bucketsFiled,
-          "event queue: bucket entry filed under the wrong index");
-    check(consumedBucketsEmpty,
-          "event queue: consumed wheel bucket is not empty");
-    check(nextScan_ <= nBuckets_,
-          "event queue: wheel scan cursor past the last bucket");
-    check(tuned_ || wheelCount_ == 0,
-          "event queue: untuned wheel holds entries");
-
     // Structural order: the heap property ((when, seq) parent <=
-    // children) on the heap, sortedness on the drain run and the
-    // batch tail, and sequence-number sanity everywhere.
+    // children) on the heap, sortedness on the drain run, and
+    // sequence-number sanity everywhere.
     bool ordered = true;
     for (std::size_t i = 1; i < heap_.size(); ++i) {
         if (earlier(heap_[i], heap_[(i - 1) / kArity]))
@@ -481,16 +289,6 @@ EventQueue::auditInvariants(std::vector<std::string> &violations) const
     check(runSorted, "event queue: drain run lost its sort order");
     check(runPos_ <= run_.size(),
           "event queue: drain-run cursor past the end of the run");
-    bool batchSane = true;
-    for (std::size_t i = batchPos_; i < batch_.size(); ++i) {
-        if (batch_[i].when != batchTick_ ||
-            (i > batchPos_ && batch_[i].seq <= batch_[i - 1].seq))
-            batchSane = false;
-    }
-    check(!batchActive_ || batchSane,
-          "event queue: batch tail broke same-tick sequence order");
-    check(batchActive_ || batch_.empty(),
-          "event queue: batch scratch not empty between dispatches");
     check(seqSane,
           "event queue: pending entry carries an unissued sequence "
           "number");

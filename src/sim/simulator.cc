@@ -9,26 +9,9 @@ namespace emmcsim::sim {
 std::uint64_t
 Simulator::run()
 {
-    // Events run in place out of their arena slots; dispatchTick
-    // drains the whole current tick per call (batched same-tick
-    // dispatch), advancing the clock in the pre-invoke callback
-    // before each action observes now(). Post-event hooks still fire
-    // once per event, between batch entries, exactly as the
-    // one-at-a-time loop did.
     std::uint64_t n = 0;
-    while (events_.dispatchTick(
-               [this](Time t) {
-                   EMMCSIM_ASSERT(t >= now_,
-                                  "event queue went backwards");
-                   now_ = t;
-               },
-               [this, &n](Time) {
-                   ++n;
-                   ++executed_;
-                   if (!hooks_.empty())
-                       firePostEventHooks();
-               }) != 0) {
-    }
+    while (dispatchOne())
+        ++n;
     return n;
 }
 
@@ -37,26 +20,33 @@ Simulator::runUntil(Time deadline)
 {
     std::uint64_t n = 0;
     while (true) {
-        Time next = events_.nextTime();
+        const Time next = events_.nextTime();
         if (next == kTimeNever || next > deadline)
             break;
-        // A batch never crosses the deadline: every event it fires
-        // sits at exactly `next`, which was just checked.
-        events_.dispatchTick(
-            [this](Time t) {
-                EMMCSIM_ASSERT(t >= now_, "event queue went backwards");
-                now_ = t;
-            },
-            [this, &n](Time) {
-                ++n;
-                ++executed_;
-                if (!hooks_.empty())
-                    firePostEventHooks();
-            });
+        dispatchOne();
+        ++n;
     }
     if (now_ < deadline)
         now_ = deadline;
     return n;
+}
+
+bool
+Simulator::dispatchOne()
+{
+    // The event runs in place out of its arena slot; the clock
+    // advances in the pre-invoke callback, before the action observes
+    // now().
+    const bool fired = events_.dispatchNext([this](Time t) {
+        EMMCSIM_ASSERT(t >= now_, "event queue went backwards");
+        now_ = t;
+    });
+    if (!fired)
+        return false;
+    ++executed_;
+    if (!hooks_.empty())
+        firePostEventHooks();
+    return true;
 }
 
 Simulator::HookId
@@ -82,17 +72,6 @@ Simulator::removePostEventHook(HookId id)
             return;
         }
     }
-}
-
-void
-Simulator::setPostEventHook(PostEventHook hook, std::uint64_t interval)
-{
-    if (legacyHookId_ != 0) {
-        removePostEventHook(legacyHookId_);
-        legacyHookId_ = 0;
-    }
-    if (hook != nullptr)
-        legacyHookId_ = addPostEventHook(std::move(hook), interval);
 }
 
 void

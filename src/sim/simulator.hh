@@ -72,19 +72,6 @@ class Simulator
     bool cancel(EventId id) { return events_.cancel(id); }
 
     /**
-     * Size the event queue's calendar-wheel tier from the device's
-     * fixed operation latencies (see EventQueue::tuneWheel). The
-     * device constructor calls this with its NAND timing so that the
-     * completion-heavy steady state schedules in O(1); an untuned
-     * simulator runs on the pure heap with identical output.
-     */
-    void
-    tuneEventHorizon(Time shortestLatency, Time longestLatency)
-    {
-        events_.tuneWheel(shortestLatency, longestLatency);
-    }
-
-    /**
      * Set the clock to @p when without running events — the snapshot
      * restore path uses this to resume a fresh simulator at the image's
      * capture time before re-scheduling the remaining arrivals. Only
@@ -146,13 +133,6 @@ class Simulator
     /** Unregister a hook; unknown ids are ignored (idempotent). */
     void removePostEventHook(HookId id);
 
-    /**
-     * Single-slot convenience used by older callers: replaces the
-     * previously set() hook (hooks registered through
-     * addPostEventHook are unaffected); null uninstalls.
-     */
-    void setPostEventHook(PostEventHook hook, std::uint64_t interval = 1);
-
   private:
     /** One registered post-event hook and its firing cadence. */
     struct HookEntry
@@ -163,6 +143,12 @@ class Simulator
         PostEventHook hook;
     };
 
+    /**
+     * Fire the earliest pending event, then the post-event hooks.
+     * @return false when the queue was empty.
+     */
+    bool dispatchOne();
+
     /** Run each post-event hook whose interval elapsed. */
     void firePostEventHooks();
 
@@ -172,7 +158,6 @@ class Simulator
 
     std::vector<HookEntry> hooks_;
     HookId nextHookId_ = 1;
-    HookId legacyHookId_ = 0; ///< slot managed by setPostEventHook
 };
 
 } // namespace emmcsim::sim

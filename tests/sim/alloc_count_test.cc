@@ -135,56 +135,20 @@ TEST(EventCoreAllocation, SteadyStateCancelIsHeapFree)
         << "steady-state cancel/compact path allocated on the heap";
 }
 
-TEST(EventCoreAllocation, TunedWheelBatchDispatchIsHeapFree)
+/**
+ * Run two warm-up rounds of @p load on a fresh simulator, then require
+ * a third round to allocate nothing. @p load schedules one round of
+ * events at or after the simulator's clock; run() drains it.
+ */
+template <typename Load>
+void
+expectSimulatorLoopHeapFree(const char *what, Load load)
 {
-    // Clustered-latency shape: events land in ties of 8 on four fixed
-    // NAND latencies, exercising bucket filing, run staging, batched
-    // dispatch, epoch re-anchoring and heap promotion.
-    //
-    // Bucket vectors grow lazily and their capacities rotate through
-    // the staging swap, so steady state begins once every reachable
-    // bucket has been loaded at least as heavily as the measured
-    // round will load it. The warm-up therefore floods the whole
-    // wheel span with same-tick groups before the counted round.
-    constexpr int kBatch = 1024;
-    constexpr Time kLat[4] = {160'000, 244'000, 1'385'000, 3'800'000};
-    EventQueue q;
-    q.tuneWheel(kLat[0], kLat[3]);
-    ASSERT_TRUE(q.wheelTuned());
-    std::uint64_t sink = 0;
-
-    auto drain = [&] {
-        while (q.dispatchTick([](Time) {}, [](Time) {}) > 0) {
-        }
-    };
-
-    // Flood: ~400 events in every bucket of the wheel span, in ties
-    // of 16, so every bucket / run / batch vector reaches a capacity
-    // no clustered round will exceed.
-    const Time width = q.wheelBucketWidth();
-    const std::size_t nBuckets = q.wheelBucketCount();
-    for (int pass = 0; pass < 2; ++pass) {
-        const Time base = q.lastPopTime();
-        for (std::size_t b = 0; b < nBuckets; ++b) {
-            for (int g = 0; g < 25; ++g) {
-                const Time when = base + static_cast<Time>(b) * width +
-                                  g * (width / 25);
-                for (int i = 0; i < 16; ++i)
-                    q.schedule(when, [&sink] { ++sink; });
-            }
-        }
-        drain();
-    }
-
+    Simulator s;
     auto round = [&] {
-        const Time base = q.lastPopTime();
-        for (int i = 0; i < kBatch; ++i)
-            q.schedule(base + kLat[(i / 8) & 3] +
-                           static_cast<Time>(i / 8) * 257,
-                       [&sink] { ++sink; });
-        drain();
+        load(s);
+        s.run();
     };
-
     round();
     round();
     const std::uint64_t before =
@@ -193,34 +157,34 @@ TEST(EventCoreAllocation, TunedWheelBatchDispatchIsHeapFree)
     const std::uint64_t after =
         g_heapAllocs.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
-        << "tuned-wheel batched dispatch allocated on the heap";
-    EXPECT_GT(q.dispatchBatches(), 0u);
-    EXPECT_GT(q.wheelScheduled(), 0u);
+        << "simulator event loop allocated on the heap (" << what << ")";
 }
 
 TEST(EventCoreAllocation, SimulatorLoopIsHeapFreeAfterWarmup)
 {
-    constexpr int kBatch = 256;
-    Simulator s;
     std::uint64_t sink = 0;
-    Time base = 0;
 
-    auto round = [&] {
-        for (int i = 0; i < kBatch; ++i)
+    // One event per tick on consecutive ticks.
+    expectSimulatorLoopHeapFree("consecutive ticks", [&](Simulator &s) {
+        const Time base = s.now();
+        for (int i = 0; i < 256; ++i)
             s.schedule(base + i, [&sink] { ++sink; });
-        s.run();
-        base += kBatch;
-    };
+    });
 
-    round();
-    round();
-    const std::uint64_t before =
-        g_heapAllocs.load(std::memory_order_relaxed);
-    round();
-    const std::uint64_t after =
-        g_heapAllocs.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "simulator event loop allocated on the heap";
+    // Device-shaped clustered load: ties of 8 on four fixed NAND
+    // latencies, large enough to be sorted into a drain run, so the
+    // run/heap/scratch buffer rotation is covered too.
+    constexpr Time kLat[4] = {160'000, 244'000, 1'385'000, 3'800'000};
+    std::uint64_t drainSorts = 0;
+    expectSimulatorLoopHeapFree("clustered latencies", [&](Simulator &s) {
+        const Time base = s.now();
+        for (int i = 0; i < 1024; ++i)
+            s.schedule(base + kLat[(i / 8) & 3] +
+                           static_cast<Time>(i / 8) * 257,
+                       [&sink] { ++sink; });
+        drainSorts = s.events().drainSorts();
+    });
+    EXPECT_GT(drainSorts, 0u);
 }
 
 } // namespace

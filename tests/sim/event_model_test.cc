@@ -1,29 +1,33 @@
 /**
  * @file
- * Randomized differential test of the two-tier event queue.
+ * Randomized differential test of the event queue.
  *
  * A std::multimap keyed on (when, band) — which preserves insertion
  * order for equal keys, i.e. exactly the FIFO-within-band contract —
  * serves as the executable specification. Every random operation
- * (schedule, front-band schedule, cancel, stale cancel, pop burst)
- * is applied simultaneously to the model, to an untuned EventQueue
- * (pure heap + drain-sort), and to a tuned EventQueue (calendar wheel
- * over overflow heap). All three must pop the identical sequence.
+ * (schedule, front-band schedule, cancel, cancel storm, stale cancel,
+ * pop burst) is applied to both the model and an EventQueue, and the
+ * two must pop the identical sequence.
  *
- * The offset distribution deliberately straddles the wheel horizon so
- * in-bucket filing, overflow scheduling, epoch re-anchoring and heap
- * promotion all run; a Simulator-level variant reschedules from
- * inside handlers (including zero-delay, i.e. mid-batch same-tick
- * schedules) to drive the batched dispatch path the same way device
- * completions do.
+ * The load alternates between growing and shrinking the pending set,
+ * so the heap repeatedly crosses the drain-sort threshold and pops
+ * interleave the sorted run with events scheduled after the sort; a
+ * cancel storm at each peak pushes dead entries past the compaction
+ * trigger. A
+ * Simulator-level variant reschedules from inside handlers (including
+ * zero-delay, same-tick schedules) the way device completions do, and
+ * is checked against a multimap-driven reference simulator through
+ * both run() and runUntil().
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -34,8 +38,8 @@ namespace {
 
 using namespace emmcsim::sim;
 
-/** Tuned-wheel parameters used throughout: the repo's fixed 4KB-read
- *  and erase latencies, so the wheel shape matches a real device. */
+/** The repo's fixed 4KB-read and erase latencies: offsets drawn
+ *  around them give the queue a device-shaped spread of times. */
 constexpr Time kShortest = 160'000;
 constexpr Time kLongest = 3'800'000;
 
@@ -44,8 +48,7 @@ using ModelMap = std::multimap<ModelKey, int>;
 
 struct LiveEvent
 {
-    EventId heapId;  ///< id in the untuned queue
-    EventId wheelId; ///< id in the tuned queue
+    EventId id;
     ModelMap::iterator modelIt;
 };
 
@@ -56,25 +59,19 @@ class QueueModelFuzz : public ::testing::TestWithParam<std::uint32_t>
 TEST_P(QueueModelFuzz, PopOrderMatchesMultimapReference)
 {
     std::mt19937 rng(GetParam());
-    EventQueue heapQ;
-    EventQueue wheelQ;
-    wheelQ.tuneWheel(kShortest, kLongest);
-    ASSERT_TRUE(wheelQ.wheelTuned());
-    ASSERT_FALSE(heapQ.wheelTuned());
+    EventQueue q;
 
     ModelMap model;
     std::map<int, LiveEvent> live;
-    std::vector<std::pair<EventId, EventId>> deadIds;
-    std::vector<int> heapFired;
-    std::vector<int> wheelFired;
+    std::vector<EventId> deadIds;
+    std::vector<int> fired;
     int nextToken = 0;
     Time now = 0;
 
-    // Offsets from "now": same-tick, in-wheel, and far past the
-    // wheel horizon (4 * kLongest) so the overflow tier and epoch
-    // re-anchor logic both see traffic.
+    // Offsets from "now": near (dense same-tick ties), a few NAND
+    // latencies out, and far-future timers.
     std::uniform_int_distribution<Time> nearOff(0, kShortest);
-    std::uniform_int_distribution<Time> wheelOff(0, 4 * kLongest);
+    std::uniform_int_distribution<Time> midOff(0, 4 * kLongest);
     std::uniform_int_distribution<Time> farOff(4 * kLongest,
                                                20 * kLongest);
 
@@ -87,118 +84,116 @@ TEST_P(QueueModelFuzz, PopOrderMatchesMultimapReference)
         if (draw(20))
             off = nearOff(rng);
         else if (draw(80))
-            off = wheelOff(rng);
+            off = midOff(rng);
         else
             off = farOff(rng);
         const Time when = now + off;
         const int token = nextToken++;
+        auto fn = [&fired, token] { fired.push_back(token); };
         LiveEvent ev;
-        if (front) {
-            ev.heapId = heapQ.scheduleFront(
-                when, [&heapFired, token] { heapFired.push_back(token); });
-            ev.wheelId = wheelQ.scheduleFront(when, [&wheelFired, token] {
-                wheelFired.push_back(token);
-            });
-        } else {
-            ev.heapId = heapQ.schedule(
-                when, [&heapFired, token] { heapFired.push_back(token); });
-            ev.wheelId = wheelQ.schedule(when, [&wheelFired, token] {
-                wheelFired.push_back(token);
-            });
-        }
+        ev.id = front ? q.scheduleFront(when, fn) : q.schedule(when, fn);
         ev.modelIt = model.emplace(ModelKey{when, front ? 0 : 1}, token);
         live.emplace(token, ev);
     };
 
+    auto cancelLive = [&](std::map<int, LiveEvent>::iterator it) {
+        EXPECT_TRUE(q.cancel(it->second.id));
+        model.erase(it->second.modelIt);
+        deadIds.push_back(it->second.id);
+        return live.erase(it);
+    };
+
     auto popOne = [&]() -> bool {
-        Time tHeap = 0;
-        Time tWheel = 0;
-        EventAction aHeap;
-        EventAction aWheel;
-        const bool gotHeap = heapQ.pop(tHeap, aHeap);
-        const bool gotWheel = wheelQ.pop(tWheel, aWheel);
-        EXPECT_EQ(gotHeap, gotWheel);
-        EXPECT_EQ(gotHeap, !model.empty());
-        if (!gotHeap || !gotWheel)
+        Time t = 0;
+        EventAction a;
+        const bool got = q.pop(t, a);
+        EXPECT_EQ(got, !model.empty());
+        if (!got)
             return false;
-        EXPECT_EQ(tHeap, tWheel);
-        aHeap();
-        aWheel();
-        EXPECT_FALSE(heapFired.empty());
+        a();
+        EXPECT_FALSE(fired.empty());
         EXPECT_FALSE(model.empty());
-        if (heapFired.empty() || model.empty())
+        if (fired.empty() || model.empty())
             return false;
-        const int token = heapFired.back();
-        EXPECT_EQ(wheelFired.back(), token);
+        const int token = fired.back();
         EXPECT_EQ(model.begin()->second, token)
             << "pop order diverged from the multimap reference";
-        EXPECT_EQ(model.begin()->first.first, tHeap);
+        EXPECT_EQ(model.begin()->first.first, t);
         model.erase(model.begin());
         auto liveIt = live.find(token);
         EXPECT_NE(liveIt, live.end());
         if (liveIt != live.end()) {
-            deadIds.emplace_back(liveIt->second.heapId,
-                                 liveIt->second.wheelId);
+            deadIds.push_back(liveIt->second.id);
             live.erase(liveIt);
         }
-        now = tHeap;
+        now = t;
         return true;
     };
 
     constexpr int kOps = 20'000;
+    constexpr int kPhase = 2'000; ///< ops per grow or shrink phase
     for (int op = 0; op < kOps; ++op) {
+        // Growing phases schedule more than they pop, so the heap
+        // passes the drain-sort threshold; shrinking phases drain it
+        // through the run while new schedules land beside it.
+        const bool growing = (op / kPhase) % 2 == 0;
+        const int schedPct = growing ? 70 : 35;
         const int r = std::uniform_int_distribution<int>(0, 99)(rng);
-        if (r < 45) {
-            scheduleOne(/*front=*/false);
-        } else if (r < 55) {
-            scheduleOne(/*front=*/true);
-        } else if (r < 65 && !live.empty()) {
-            // Cancel a random live event everywhere.
+        if (r < schedPct) {
+            scheduleOne(/*front=*/draw(20));
+        } else if (r < schedPct + 10 && !live.empty()) {
+            // Cancel a random live event.
             auto it = live.begin();
             std::advance(it,
                          std::uniform_int_distribution<std::size_t>(
                              0, live.size() - 1)(rng));
-            EXPECT_TRUE(heapQ.cancel(it->second.heapId));
-            EXPECT_TRUE(wheelQ.cancel(it->second.wheelId));
-            model.erase(it->second.modelIt);
-            deadIds.emplace_back(it->second.heapId,
-                                 it->second.wheelId);
-            live.erase(it);
-        } else if (r < 70 && !deadIds.empty()) {
+            cancelLive(it);
+        } else if (r < schedPct + 15 && !deadIds.empty()) {
             // Stale cancel: fired or already-canceled ids must be
-            // rejected by the generation check in both queues, even
-            // after the slot has been recycled for a new event.
-            const auto &dead =
+            // rejected by the generation check, even after the slot
+            // has been recycled for a new event.
+            EXPECT_FALSE(q.cancel(
                 deadIds[std::uniform_int_distribution<std::size_t>(
-                    0, deadIds.size() - 1)(rng)];
-            EXPECT_FALSE(heapQ.cancel(dead.first));
-            EXPECT_FALSE(wheelQ.cancel(dead.second));
+                    0, deadIds.size() - 1)(rng)]));
         } else {
-            const int burst =
-                std::uniform_int_distribution<int>(1, 16)(rng);
+            const int burst = std::uniform_int_distribution<int>(
+                1, growing ? 4 : 16)(rng);
             for (int i = 0; i < burst; ++i) {
                 if (!popOne())
                     break;
             }
         }
-        ASSERT_EQ(heapQ.size(), model.size());
-        ASSERT_EQ(wheelQ.size(), model.size());
+        if (growing && op % kPhase == kPhase - 1) {
+            // Cancel storm at the peak: kill ~3/4 of the pending set,
+            // enough dead entries to trigger compaction.
+            for (auto it = live.begin(); it != live.end();) {
+                if (draw(75))
+                    it = cancelLive(it);
+                else
+                    ++it;
+            }
+        }
+        ASSERT_EQ(q.size(), model.size());
     }
 
-    // Drain everything; the full histories must be identical.
+    // Drain everything; every scheduled, uncancelled event fired.
     while (popOne()) {
     }
     EXPECT_TRUE(model.empty());
-    EXPECT_TRUE(heapQ.empty());
-    EXPECT_TRUE(wheelQ.empty());
-    EXPECT_EQ(heapFired, wheelFired);
+    EXPECT_TRUE(q.empty());
+    EXPECT_TRUE(live.empty());
+    // The load must have exercised the drain run and compaction.
+    EXPECT_GT(q.drainSorts(), 0u);
+    EXPECT_GT(q.heapCompactions(), 0u);
+    std::vector<std::string> violations;
+    q.auditInvariants(violations);
+    EXPECT_TRUE(violations.empty());
 }
 
 TEST_P(QueueModelFuzz, StaleCancelIsRejectedAfterFire)
 {
     std::mt19937 rng(GetParam() ^ 0x5eedu);
     EventQueue q;
-    q.tuneWheel(kShortest, kLongest);
 
     std::vector<EventId> ids;
     std::uniform_int_distribution<Time> off(0, 6 * kLongest);
@@ -223,64 +218,120 @@ TEST_P(QueueModelFuzz, StaleCancelIsRejectedAfterFire)
 }
 
 /**
- * Simulator-level determinism: the same handler-driven workload on a
- * tuned and an untuned simulator must execute tokens in the same
- * order. Handlers reschedule with zero delay sometimes, which lands
- * mid-batch at the current tick — the hardest interleaving case for
- * batched dispatch.
+ * Executable reference for Simulator: a multimap keyed on time fires
+ * equal-time events in insertion order, i.e. in (when, seq) order.
  */
-TEST_P(QueueModelFuzz, TunedAndUntunedSimulatorsExecuteIdentically)
+class ModelSimulator
 {
-    auto runOne = [&](bool tuned) {
-        Simulator s;
-        if (tuned)
-            s.tuneEventHorizon(kShortest, kLongest);
-        std::vector<int> order;
-        std::mt19937 rng(GetParam() * 2654435761u + 1);
-        std::uniform_int_distribution<Time> off(0, 5 * kLongest);
-        constexpr Time kLatencies[4] = {160'000, 244'000, 1'385'000,
-                                        3'800'000};
-        int budget = 30'000;
-        int token = 0;
+  public:
+    Time now() const { return now_; }
 
-        // Self-sustaining load: each handler reschedules one or two
-        // follow-ups while the budget lasts; ties are common because
-        // delays come from four fixed latencies.
-        std::function<void(int)> fire = [&](int id) {
-            order.push_back(id);
-            if (budget <= 0)
-                return;
-            const int kids =
-                std::uniform_int_distribution<int>(1, 2)(rng);
-            for (int k = 0; k < kids && budget > 0; ++k) {
-                --budget;
-                const int kid = ++token;
-                Time d;
-                const int pick =
-                    std::uniform_int_distribution<int>(0, 9)(rng);
-                if (pick == 0)
-                    d = 0; // same tick, scheduled mid-batch
-                else if (pick <= 7)
-                    d = kLatencies[static_cast<std::size_t>(pick) % 4];
-                else
-                    d = off(rng);
-                s.schedule(s.now() + d,
-                           [&fire, kid] { fire(kid); });
-            }
-        };
-        for (int i = 0; i < 32; ++i) {
-            --budget;
-            const int id = ++token;
-            s.schedule(off(rng), [&fire, id] { fire(id); });
+    void
+    schedule(Time when, std::function<void()> fn)
+    {
+        pending_.emplace(when, std::move(fn));
+    }
+
+    void
+    run()
+    {
+        while (!pending_.empty()) {
+            auto it = pending_.begin();
+            now_ = it->first;
+            std::function<void()> fn = std::move(it->second);
+            pending_.erase(it);
+            fn();
         }
-        s.run();
-        return order;
-    };
+    }
 
-    const std::vector<int> heapOrder = runOne(false);
-    const std::vector<int> wheelOrder = runOne(true);
-    EXPECT_EQ(heapOrder.size(), 30'000u);
-    EXPECT_EQ(heapOrder, wheelOrder);
+  private:
+    std::multimap<Time, std::function<void()>> pending_;
+    Time now_ = 0;
+};
+
+/**
+ * Run a self-sustaining, handler-driven workload on @p s and return
+ * the order in which its tokens executed. Each handler reschedules
+ * one or two follow-ups while the budget lasts; ties are common
+ * because delays come from four fixed latencies, and some follow-ups
+ * land at the current tick (zero delay).
+ */
+template <typename Sim, typename Drive>
+std::vector<int>
+runHandlerWorkload(Sim &s, std::uint32_t seed, Drive drive)
+{
+    std::vector<int> order;
+    std::mt19937 rng(seed * 2654435761u + 1);
+    std::uniform_int_distribution<Time> off(0, 5 * kLongest);
+    constexpr Time kLatencies[4] = {160'000, 244'000, 1'385'000,
+                                    3'800'000};
+    int budget = 30'000;
+    int token = 0;
+
+    std::function<void(int)> fire = [&](int id) {
+        order.push_back(id);
+        if (budget <= 0)
+            return;
+        const int kids = std::uniform_int_distribution<int>(1, 2)(rng);
+        for (int k = 0; k < kids && budget > 0; ++k) {
+            --budget;
+            const int kid = ++token;
+            Time d;
+            const int pick = std::uniform_int_distribution<int>(0, 9)(rng);
+            if (pick == 0)
+                d = 0; // same tick as the running handler
+            else if (pick <= 7)
+                d = kLatencies[static_cast<std::size_t>(pick) % 4];
+            else
+                d = off(rng);
+            s.schedule(s.now() + d, [&fire, kid] { fire(kid); });
+        }
+    };
+    for (int i = 0; i < 32; ++i) {
+        --budget;
+        const int id = ++token;
+        s.schedule(off(rng), [&fire, id] { fire(id); });
+    }
+    drive();
+    return order;
+}
+
+/**
+ * Simulator-level differential: the same handler-driven workload on
+ * a Simulator — drained by run(), and stepped by runUntil() with
+ * deadlines that fall between and exactly on event times — must
+ * execute tokens in the same order as the multimap reference.
+ */
+TEST_P(QueueModelFuzz, SimulatorMatchesMultimapReference)
+{
+    ModelSimulator model;
+    const std::vector<int> expected =
+        runHandlerWorkload(model, GetParam(), [&] { model.run(); });
+    ASSERT_EQ(expected.size(), 30'000u);
+
+    Simulator ran;
+    const std::vector<int> viaRun =
+        runHandlerWorkload(ran, GetParam(), [&] { ran.run(); });
+    EXPECT_EQ(viaRun, expected);
+    EXPECT_EQ(ran.executedCount(), 30'000u);
+
+    Simulator stepped;
+    std::uint64_t steppedCount = 0;
+    const std::vector<int> viaRunUntil =
+        runHandlerWorkload(stepped, GetParam(), [&] {
+            // Alternate a deadline on the next event with one a fixed
+            // step ahead, so both runUntil exits are exercised.
+            bool onEvent = false;
+            while (stepped.pending()) {
+                const Time deadline = onEvent
+                                          ? stepped.nextEventTime()
+                                          : stepped.now() + kShortest;
+                steppedCount += stepped.runUntil(deadline);
+                onEvent = !onEvent;
+            }
+        });
+    EXPECT_EQ(viaRunUntil, expected);
+    EXPECT_EQ(steppedCount, 30'000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueModelFuzz,

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -396,76 +395,4 @@ TEST(Simulator, ManyEventsStaySorted)
     }
     s.run();
     EXPECT_TRUE(monotonic);
-}
-
-TEST(EventQueueWheel, TuneWithPendingEventsFlushesAndPreservesOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 64; ++i)
-        q.schedule(static_cast<Time>((i * 37) % 50) * 100'000,
-                   [&order, i] { order.push_back(i); });
-    // Tuning mid-flight must flush the wheel/heap safely; a second
-    // retune with different parameters must be just as safe.
-    q.tuneWheel(160'000, 3'800'000);
-    EXPECT_TRUE(q.wheelTuned());
-    for (int i = 64; i < 128; ++i)
-        q.schedule(static_cast<Time>((i * 37) % 50) * 100'000,
-                   [&order, i] { order.push_back(i); });
-    q.tuneWheel(80'000, 8'000'000);
-    EXPECT_TRUE(q.wheelTuned());
-    Time t;
-    EventAction a;
-    Time last = -1;
-    while (q.pop(t, a)) {
-        EXPECT_GE(t, last);
-        last = t;
-        a();
-    }
-    EXPECT_EQ(order.size(), 128u);
-    // Same-time events must still fire in schedule order.
-    std::vector<int> expected(128);
-    for (int i = 0; i < 128; ++i)
-        expected[static_cast<std::size_t>(i)] = i;
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](int a_, int b_) {
-                         return (a_ * 37) % 50 < (b_ * 37) % 50;
-                     });
-    EXPECT_EQ(order, expected);
-}
-
-TEST(EventQueueWheel, EpochAdvancesAcrossWindows)
-{
-    EventQueue q;
-    q.tuneWheel(160'000, 3'800'000);
-    // Chain far past the first epoch window: each event schedules the
-    // next one a full window ahead, forcing repeated re-anchors.
-    const Time step = 4 * 3'800'000;
-    int fired = 0;
-    for (int i = 0; i < 32; ++i)
-        q.schedule(static_cast<Time>(i) * step + 160'000,
-                   [&fired] { ++fired; });
-    Time t;
-    EventAction a;
-    while (q.pop(t, a))
-        a();
-    EXPECT_EQ(fired, 32);
-    EXPECT_GE(q.wheelEpochs(), 2u);
-    std::vector<std::string> violations;
-    q.auditInvariants(violations);
-    EXPECT_TRUE(violations.empty());
-}
-
-TEST(EventQueueWheel, UntunedQueueNeverTouchesWheel)
-{
-    EventQueue q;
-    for (int i = 0; i < 256; ++i)
-        q.schedule(i * 1000, [] {});
-    EXPECT_EQ(q.wheelScheduled(), 0u);
-    EXPECT_EQ(q.wheelOccupancy(), 0u);
-    Time t;
-    EventAction a;
-    while (q.pop(t, a))
-        a();
-    EXPECT_EQ(q.wheelEpochs(), 0u);
 }
