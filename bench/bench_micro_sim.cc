@@ -8,6 +8,10 @@
 
 #include <functional>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/experiment.hh"
 #include "host/replayer.hh"
 #include "sim/simulator.hh"
@@ -161,14 +165,37 @@ BM_TraceGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGeneration);
 
+/** Heap bytes allocated and not yet freed, in MiB (glibc only). */
+double
+heapInUseMb()
+{
+#if defined(__GLIBC__)
+    const struct mallinfo2 mi = mallinfo2();
+    return static_cast<double>(mi.uordblks + mi.hblkhd) / (1024.0 * 1024.0);
+#else
+    return 0.0;
+#endif
+}
+
+/**
+ * A fresh full-capacity (32 GB) HPS device: items are devices, and
+ * heap_mb is what one device holds right after construction. Both are
+ * gated (scripts/run_benchmarks.sh): device state must stay sized by
+ * the written footprint, not by capacity (DESIGN.md §17).
+ */
 void
 BM_DeviceConstruction(benchmark::State &state)
 {
+    double heap_mb = 0.0;
     for (auto _ : state) {
         sim::Simulator s;
+        const double before = heapInUseMb();
         auto dev = core::makeDevice(s, core::SchemeKind::HPS);
+        heap_mb = heapInUseMb() - before;
         benchmark::DoNotOptimize(dev->ftl().logicalUnits());
     }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["heap_mb"] = heap_mb;
 }
 BENCHMARK(BM_DeviceConstruction)->Unit(benchmark::kMillisecond);
 

@@ -22,12 +22,17 @@
 #   - sim_recovery_ms / scanned_pages / image_bytes for the recovery
 #     and snapshot benches
 #
+#   - heap_mb              heap one fresh 32 GB device holds right
+#                          after construction (BM_DeviceConstruction)
+#
 # After merging, the event-core benchmarks (BM_EventQueueScheduleRun
-# and its Clustered variant) are gated against the committed baseline
-# bench/BENCH_simcore.json: a drop of more than 25% in
-# items_per_second fails the run. The wide tolerance absorbs
-# machine-to-machine noise while still catching a real event-core
-# regression.
+# and its Clustered variant) and BM_DeviceConstruction (devices/s)
+# are gated against the committed baseline bench/BENCH_simcore.json:
+# a drop of more than 25% in items_per_second fails the run. The wide
+# tolerance absorbs machine-to-machine noise while still catching a
+# real regression. BM_DeviceConstruction's heap_mb is gated the other
+# way: more than 1.25x the baseline fails, so device state cannot
+# quietly go back to being sized by capacity.
 #
 # Usage: scripts/run_benchmarks.sh [output.json]
 #   BUILD_DIR=<dir>           build tree to use (default: build)
@@ -101,47 +106,65 @@ else
 import json
 import sys
 
-# Gate the event-core benchmarks on items_per_second: >25% below the
-# committed baseline fails. Only the schedule/run benches are gated —
-# they are pure CPU loops; the replay/recovery benches touch the
-# filesystem and are too noisy for a hard gate.
-GATED_PREFIXES = ("BM_EventQueueScheduleRun",)
+# Gate on items_per_second: >25% below the committed baseline fails.
+# Only pure CPU loops are gated (the event core, device construction);
+# the replay/recovery benches touch the filesystem and are too noisy
+# for a hard gate. Lower-is-better counters (heap_mb) fail above
+# HEAP_TOLERANCE x the baseline.
+GATED_PREFIXES = ("BM_EventQueueScheduleRun", "BM_DeviceConstruction")
 TOLERANCE = 0.75
+LOWER_GATED = {"BM_DeviceConstruction": "heap_mb"}
+HEAP_TOLERANCE = 1.25
 
 out_path, base_path = sys.argv[1:]
 
-def rates(path):
-    doc = json.load(open(path))
-    return {
-        b["name"]: b["items_per_second"]
-        for b in doc["benchmarks"]
-        if b["name"].startswith(GATED_PREFIXES)
-        and "items_per_second" in b
-    }
+def load(path):
+    return {b["name"]: b for b in json.load(open(path))["benchmarks"]}
 
-current = rates(out_path)
-baseline = rates(base_path)
+current = load(out_path)
+baseline = load(base_path)
 failures = []
-for name, base_rate in sorted(baseline.items()):
+gated = 0
+for name, base in sorted(baseline.items()):
+    if not name.startswith(GATED_PREFIXES) or "items_per_second" not in base:
+        continue
+    gated += 1
     cur = current.get(name)
-    if cur is None:
+    if cur is None or "items_per_second" not in cur:
         failures.append(f"{name}: benchmark disappeared from {out_path}")
         continue
-    ratio = cur / base_rate
+    base_rate = base["items_per_second"]
+    ratio = cur["items_per_second"] / base_rate
     marker = "FAIL" if ratio < TOLERANCE else "ok"
-    print(f"  gate {name}: {cur / 1e6:.1f}M/s vs baseline "
-          f"{base_rate / 1e6:.1f}M/s ({ratio:.2f}x) {marker}")
+    print(f"  gate {name}: {cur['items_per_second']:.4g}/s vs baseline "
+          f"{base_rate:.4g}/s ({ratio:.2f}x) {marker}")
     if ratio < TOLERANCE:
         failures.append(
-            f"{name}: {cur / 1e6:.1f}M items/s is "
-            f"{ratio:.2f}x the baseline {base_rate / 1e6:.1f}M "
+            f"{name}: {cur['items_per_second']:.4g} items/s is "
+            f"{ratio:.2f}x the baseline {base_rate:.4g} "
             f"(threshold {TOLERANCE}x)")
+for name, counter in sorted(LOWER_GATED.items()):
+    base = baseline.get(name, {}).get(counter)
+    if base is None:
+        continue
+    gated += 1
+    cur = current.get(name, {}).get(counter)
+    if cur is None:
+        failures.append(f"{name}: {counter} missing from {out_path}")
+        continue
+    limit = base * HEAP_TOLERANCE
+    marker = "FAIL" if cur > limit else "ok"
+    print(f"  gate {name} {counter}: {cur:.3f} vs baseline {base:.3f} "
+          f"(limit {limit:.3f}) {marker}")
+    if cur > limit:
+        failures.append(
+            f"{name}: {counter} {cur:.3f} exceeds {HEAP_TOLERANCE}x "
+            f"the baseline {base:.3f}")
 if failures:
-    print("event-core benchmark regression:", file=sys.stderr)
+    print("benchmark regression:", file=sys.stderr)
     for f in failures:
         print(f"  {f}", file=sys.stderr)
     sys.exit(1)
-print("regression gate passed "
-      f"({len(baseline)} benchmarks within {TOLERANCE}x)")
+print(f"regression gate passed ({gated} gated metrics within bounds)")
 EOF
 fi

@@ -44,13 +44,12 @@ checkMappingBijection(const ftl::Ftl &ftl, CheckContext &ctx)
     const auto planes = geom.planeCount();
     const auto pool_count = static_cast<std::uint32_t>(geom.pools.size());
 
-    const auto units =
-        static_cast<std::int64_t>(map.logicalUnits());
-    for (flash::Lpn lpn{0}; lpn.value() < units; ++lpn) {
-        const ftl::MapEntry &e = map.lookup(lpn);
+    // Only chunks that were ever written can hold a mapping; every
+    // other logical unit reads the shared unmapped chunk.
+    map.forEachOwned([&](flash::Lpn lpn, const ftl::MapEntry &e) {
         if (!e.mapped()) {
             ctx.pass();
-            continue;
+            return;
         }
         const auto plane = static_cast<std::uint32_t>(e.planeLinear);
         if (plane >= planes || e.pool >= pool_count) {
@@ -58,7 +57,7 @@ checkMappingBijection(const ftl::Ftl &ftl, CheckContext &ctx)
                      " maps outside the array (plane " +
                      std::to_string(plane) + ", pool " +
                      std::to_string(e.pool) + ")");
-            continue;
+            return;
         }
         const flash::BlockPool &pool = array.plane(plane).pool(e.pool);
         if (e.ppn.value() >= pool.pageCount() ||
@@ -67,7 +66,7 @@ checkMappingBijection(const ftl::Ftl &ftl, CheckContext &ctx)
                      " maps outside its pool (ppn " +
                      std::to_string(e.ppn.value()) + ", unit " +
                      std::to_string(e.unit) + ")");
-            continue;
+            return;
         }
         if (!pool.unitValid(e.ppn, e.unit)) {
             ctx.fail("lpn " + std::to_string(lpn.value()) +
@@ -76,17 +75,17 @@ checkMappingBijection(const ftl::Ftl &ftl, CheckContext &ctx)
                      std::to_string(e.pool) + ", ppn " +
                      std::to_string(e.ppn.value()) + ", unit " +
                      std::to_string(e.unit) + ")");
-            continue;
+            return;
         }
         const flash::Lpn stored = pool.lpnAt(e.ppn, e.unit);
         if (stored != static_cast<flash::Lpn>(lpn)) {
             ctx.fail("lpn " + std::to_string(lpn.value()) +
                      " maps to a unit holding lpn " +
                      std::to_string(stored.value()));
-            continue;
+            return;
         }
         ctx.pass();
-    }
+    });
 }
 
 void
@@ -139,6 +138,24 @@ checkPoolAccounting(const flash::BlockPool &pool,
                      " valid units)");
         } else {
             ctx.pass();
+        }
+
+        // A block owns a page slab exactly while it is neither free
+        // nor retired; without one its pages read as erased.
+        const bool has_slab = pool.blockHasSlab(bid);
+        if (has_slab != (!is_free && !pool.blockRetired(bid)))
+            ctx.fail(label + ": block " + std::to_string(b) +
+                     (has_slab ? " owns a page slab but is "
+                               : " has no page slab but is neither ") +
+                     "free or retired");
+        else
+            ctx.pass();
+        if (!has_slab) {
+            ctx.check(block_valid == 0,
+                      label + ": block " + std::to_string(b) +
+                          " counter says " + std::to_string(block_valid) +
+                          " valid units but it has no page slab");
+            continue;
         }
 
         // Re-derive the block's valid-unit count from per-page state.
@@ -460,34 +477,40 @@ checkPageSeqConsistency(const ftl::Ftl &ftl, CheckContext &ctx)
             const std::string label = "plane " + std::to_string(pl) +
                                       " pool " + std::to_string(k);
             const std::uint32_t ppb = pool.pagesPerBlock();
-            for (std::uint64_t p = 0; p < pool.pageCount(); ++p) {
-                const flash::Ppn ppn{p};
-                const std::uint64_t seq = pool.pageSeq(ppn);
-                const std::string where =
-                    label + ": page " + std::to_string(p);
-                if (seq > j.seq()) {
-                    ctx.fail(where + " stamped with sequence " +
-                             std::to_string(seq) +
-                             " beyond the journal's " +
-                             std::to_string(j.seq()));
+            // Pages of slabless (free or retired) blocks read as erased:
+            // seq 0 and no valid unit, so only slabbed blocks are walked.
+            for (std::uint32_t b = 0; b < pool.blockCount(); ++b) {
+                const flash::BlockId bid{b};
+                if (!pool.blockHasSlab(bid))
                     continue;
-                }
-                if (pool.validUnitsInPage(ppn) > 0 && seq == 0) {
-                    ctx.fail(where + " holds valid units but was "
-                                     "never journaled");
-                    continue;
-                }
-                if (seq != 0) {
-                    const flash::BlockId bid =
-                        units::pageToBlock(ppn, ppb);
-                    if (units::pageIndexInBlock(ppn, ppb) >=
-                        pool.writtenPages(bid)) {
-                        ctx.fail(where + " is stamped beyond its "
+                const std::uint32_t written = pool.writtenPages(bid);
+                for (std::uint32_t pg = 0; pg < ppb; ++pg) {
+                    const flash::Ppn ppn =
+                        units::blockFirstPage(bid, ppb) + pg;
+                    const std::uint64_t seq = pool.pageSeq(ppn);
+                    const auto where = [&] {
+                        return label + ": page " +
+                               std::to_string(ppn.value());
+                    };
+                    if (seq > j.seq()) {
+                        ctx.fail(where() + " stamped with sequence " +
+                                 std::to_string(seq) +
+                                 " beyond the journal's " +
+                                 std::to_string(j.seq()));
+                        continue;
+                    }
+                    if (pool.validUnitsInPage(ppn) > 0 && seq == 0) {
+                        ctx.fail(where() + " holds valid units but was "
+                                         "never journaled");
+                        continue;
+                    }
+                    if (seq != 0 && pg >= written) {
+                        ctx.fail(where() + " is stamped beyond its "
                                          "block's write pointer");
                         continue;
                     }
+                    ctx.pass();
                 }
-                ctx.pass();
             }
         }
     }

@@ -142,6 +142,19 @@ class BinWriter
             raw(v.data(), v.size() * sizeof(T));
     }
 
+    /**
+     * @p n trivially-copyable elements, raw, with no length prefix:
+     * for fixed-shape arrays whose length the reader already knows.
+     */
+    template <typename T>
+    void
+    podSpan(const T *p, std::size_t n)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        if (n > 0)
+            raw(p, n * sizeof(T));
+    }
+
     /** std::vector<bool> packed 8 flags per byte. */
     void
     boolVec(const std::vector<bool> &v)
@@ -158,33 +171,6 @@ class BinWriter
         }
         if (v.size() % 8 != 0)
             u8(acc);
-    }
-
-    /**
-     * u64 vector stored as (index, value) pairs when mostly zero —
-     * the durable-trim table is huge but almost always empty.
-     */
-    void
-    sparseU64(const std::vector<std::uint64_t> &v)
-    {
-        std::uint64_t nonzero = 0;
-        for (std::uint64_t x : v)
-            nonzero += x != 0;
-        u64(v.size());
-        if (nonzero * 4 < v.size()) {
-            u8(1); // sparse encoding
-            u64(nonzero);
-            for (std::uint64_t i = 0; i < v.size(); ++i) {
-                if (v[i] != 0) {
-                    u64(i);
-                    u64(v[i]);
-                }
-            }
-        } else {
-            u8(0); // dense encoding
-            if (!v.empty())
-                raw(v.data(), v.size() * sizeof(std::uint64_t));
-        }
     }
 
     const std::string &data() const { return buf_; }
@@ -328,6 +314,16 @@ class BinReader
             raw(v.data(), n * sizeof(T));
     }
 
+    /** Fill @p n elements at @p p (see BinWriter::podSpan). */
+    template <typename T>
+    void
+    podSpan(T *p, std::size_t n)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        if (n > 0)
+            raw(p, n * sizeof(T));
+    }
+
     void
     boolVec(std::vector<bool> &v)
     {
@@ -344,41 +340,6 @@ class BinReader
             if (i % 8 == 0)
                 acc = u8();
             v[i] = (acc >> (i % 8)) & 1u;
-        }
-    }
-
-    void
-    sparseU64(std::vector<std::uint64_t> &v)
-    {
-        std::uint64_t n = u64();
-        std::uint8_t mode = u8();
-        if (mode == 1) {
-            std::uint64_t nonzero = u64();
-            if (n > (std::uint64_t{1} << 40) ||
-                nonzero * 16 > remaining()) {
-                ok_ = false;
-                v.clear();
-                return;
-            }
-            v.assign(n, 0);
-            for (std::uint64_t k = 0; k < nonzero && ok_; ++k) {
-                std::uint64_t i = u64();
-                std::uint64_t x = u64();
-                if (i >= n) {
-                    ok_ = false;
-                    return;
-                }
-                v[i] = x;
-            }
-        } else {
-            if (n > remaining() / sizeof(std::uint64_t)) {
-                ok_ = false;
-                v.clear();
-                return;
-            }
-            v.resize(n);
-            if (n > 0)
-                raw(v.data(), n * sizeof(std::uint64_t));
         }
     }
 

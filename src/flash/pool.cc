@@ -1,24 +1,46 @@
 #include "flash/pool.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "sim/logging.hh"
 
 namespace emmcsim::flash {
 
+BlockPool::PageSlab::PageSlab(std::uint32_t pages,
+                              std::uint32_t units_per_page)
+    : lpns(static_cast<std::size_t>(pages) * units_per_page, kNoLpn),
+      valid(pages, 0),
+      seq(pages, 0)
+{
+}
+
+void
+BlockPool::PageSlab::clear()
+{
+    std::fill(lpns.begin(), lpns.end(), kNoLpn);
+    std::fill(valid.begin(), valid.end(), std::uint8_t{0});
+    std::fill(seq.begin(), seq.end(), std::uint64_t{0});
+}
+
 BlockPool::BlockPool(const PoolConfig &cfg, std::uint32_t pages_per_block)
     : pageBytes_(cfg.pageBytes),
       unitsPerPage_(cfg.unitsPerPage()),
       blocks_(cfg.blocksPerPlane),
-      pagesPerBlock_(pages_per_block)
+      pagesPerBlock_(pages_per_block),
+      pageShift_(static_cast<std::uint32_t>(
+          std::countr_zero(pages_per_block))),
+      pageMask_(pages_per_block - 1u)
 {
     EMMCSIM_ASSERT(unitsPerPage_ >= 1 && unitsPerPage_ <= 8,
                    "units per page out of supported range");
-    const std::uint64_t pages = pageCount();
-    lpns_.assign(pages * unitsPerPage_, kNoLpn);
-    valid_.assign(pages, 0);
-    pageSeq_.assign(pages, 0);
+    EMMCSIM_ASSERT(std::has_single_bit(pagesPerBlock_),
+                   "pages per block must be a power of two");
+    erased_ = std::make_unique<const PageSlab>(pagesPerBlock_,
+                                               unitsPerPage_);
+    slabs_.resize(blocks_);
+    view_.assign(blocks_, erased_.get());
     writePtr_.assign(blocks_, 0);
     blockValid_.assign(blocks_, 0);
     eraseCnt_.assign(blocks_, 0);
@@ -27,6 +49,38 @@ BlockPool::BlockPool(const PoolConfig &cfg, std::uint32_t pages_per_block)
     suspect_.assign(blocks_, false);
     retired_.assign(blocks_, false);
     freeCount_ = blocks_;
+}
+
+void
+BlockPool::attachSlab(std::uint32_t b)
+{
+    EMMCSIM_ASSERT(!slabs_[b], "block already owns a slab");
+    if (spare_.empty()) {
+        slabs_[b] = std::make_unique<PageSlab>(pagesPerBlock_,
+                                               unitsPerPage_);
+    } else {
+        slabs_[b] = std::move(spare_.back());
+        spare_.pop_back();
+    }
+    view_[b] = slabs_[b].get();
+}
+
+void
+BlockPool::releaseSlab(std::uint32_t b)
+{
+    EMMCSIM_ASSERT(slabs_[b], "releasing a block without a slab");
+    slabs_[b]->clear();
+    spare_.push_back(std::move(slabs_[b]));
+    view_[b] = erased_.get();
+}
+
+BlockPool::PageSlab &
+BlockPool::ownedSlabOf(Ppn ppn)
+{
+    PageSlab *slab = slabs_[blockOf(ppn)].get();
+    EMMCSIM_ASSERT(slab != nullptr,
+                   "page state written on a block that is not open");
+    return *slab;
 }
 
 std::uint64_t
@@ -70,6 +124,7 @@ BlockPool::takeFreeBlock()
     EMMCSIM_ASSERT(found, "free count disagrees with free flags");
     isFree_[best] = false;
     --freeCount_;
+    attachSlab(best);
     return best;
 }
 
@@ -93,29 +148,31 @@ BlockPool::allocatePage()
 void
 BlockPool::setUnit(Ppn ppn, std::uint32_t slot, Lpn lpn)
 {
-    const std::size_t p = pageIndex(ppn);
-    EMMCSIM_ASSERT(p < pageCount() && slot < unitsPerPage_,
+    EMMCSIM_ASSERT(ppn.value() < pageCount() && slot < unitsPerPage_,
                    "setUnit out of range");
     EMMCSIM_ASSERT(lpn.value() >= 0, "setUnit with invalid lpn");
+    PageSlab &s = ownedSlabOf(ppn);
+    const std::uint32_t p = pageInBlock(ppn);
     std::uint8_t bit = static_cast<std::uint8_t>(1u << slot);
-    EMMCSIM_ASSERT(!(valid_[p] & bit), "setUnit on already-valid unit");
-    lpns_[p * unitsPerPage_ + slot] = lpn;
-    valid_[p] |= bit;
-    ++blockValid_[blockIndex(units::pageToBlock(ppn, pagesPerBlock_))];
+    EMMCSIM_ASSERT(!(s.valid[p] & bit), "setUnit on already-valid unit");
+    s.lpns[p * unitsPerPage_ + slot] = lpn;
+    s.valid[p] |= bit;
+    ++blockValid_[blockOf(ppn)];
     ++validUnits_;
 }
 
 void
 BlockPool::invalidateUnit(Ppn ppn, std::uint32_t slot)
 {
-    const std::size_t p = pageIndex(ppn);
-    EMMCSIM_ASSERT(p < pageCount() && slot < unitsPerPage_,
+    EMMCSIM_ASSERT(ppn.value() < pageCount() && slot < unitsPerPage_,
                    "invalidateUnit out of range");
+    const std::uint32_t p = pageInBlock(ppn);
     std::uint8_t bit = static_cast<std::uint8_t>(1u << slot);
-    EMMCSIM_ASSERT(valid_[p] & bit, "invalidateUnit on stale unit");
-    valid_[p] &= static_cast<std::uint8_t>(~bit);
-    std::uint32_t b =
-        blockIndex(units::pageToBlock(ppn, pagesPerBlock_));
+    EMMCSIM_ASSERT(slabOf(ppn).valid[p] & bit,
+                   "invalidateUnit on stale unit");
+    PageSlab &s = ownedSlabOf(ppn);
+    s.valid[p] &= static_cast<std::uint8_t>(~bit);
+    const std::uint32_t b = blockOf(ppn);
     EMMCSIM_ASSERT(blockValid_[b] > 0, "block valid underflow");
     --blockValid_[b];
     --validUnits_;
@@ -124,27 +181,26 @@ BlockPool::invalidateUnit(Ppn ppn, std::uint32_t slot)
 Lpn
 BlockPool::lpnAt(Ppn ppn, std::uint32_t slot) const
 {
-    const std::size_t p = pageIndex(ppn);
-    EMMCSIM_ASSERT(p < pageCount() && slot < unitsPerPage_,
+    EMMCSIM_ASSERT(ppn.value() < pageCount() && slot < unitsPerPage_,
                    "lpnAt out of range");
-    return lpns_[p * unitsPerPage_ + slot];
+    return slabOf(ppn).lpns[pageInBlock(ppn) * unitsPerPage_ + slot];
 }
 
 bool
 BlockPool::unitValid(Ppn ppn, std::uint32_t slot) const
 {
-    const std::size_t p = pageIndex(ppn);
-    EMMCSIM_ASSERT(p < pageCount() && slot < unitsPerPage_,
+    EMMCSIM_ASSERT(ppn.value() < pageCount() && slot < unitsPerPage_,
                    "unitValid out of range");
-    return (valid_[p] >> slot) & 1u;
+    return (slabOf(ppn).valid[pageInBlock(ppn)] >> slot) & 1u;
 }
 
 std::uint32_t
 BlockPool::validUnitsInPage(Ppn ppn) const
 {
-    const std::size_t p = pageIndex(ppn);
-    EMMCSIM_ASSERT(p < pageCount(), "validUnitsInPage out of range");
-    return static_cast<std::uint32_t>(__builtin_popcount(valid_[p]));
+    EMMCSIM_ASSERT(ppn.value() < pageCount(),
+                   "validUnitsInPage out of range");
+    return static_cast<std::uint32_t>(
+        std::popcount(slabOf(ppn).valid[pageInBlock(ppn)]));
 }
 
 std::uint32_t
@@ -196,21 +252,7 @@ BlockPool::eraseBlock(BlockId b)
                    "eraseBlock with live units; relocate first");
     EMMCSIM_ASSERT(active_ != static_cast<std::int32_t>(i),
                    "eraseBlock on the active block");
-    const std::size_t first =
-        pageIndex(units::blockFirstPage(b, pagesPerBlock_));
-    std::fill(lpns_.begin() +
-                  static_cast<std::ptrdiff_t>(first * unitsPerPage_),
-              lpns_.begin() + static_cast<std::ptrdiff_t>(
-                  (first + pagesPerBlock_) * unitsPerPage_),
-              kNoLpn);
-    std::fill(valid_.begin() + static_cast<std::ptrdiff_t>(first),
-              valid_.begin() +
-                  static_cast<std::ptrdiff_t>(first + pagesPerBlock_),
-              std::uint8_t{0});
-    std::fill(pageSeq_.begin() + static_cast<std::ptrdiff_t>(first),
-              pageSeq_.begin() +
-                  static_cast<std::ptrdiff_t>(first + pagesPerBlock_),
-              std::uint64_t{0});
+    releaseSlab(i);
     writePtr_[i] = 0;
     ++eraseCnt_[i];
     ++totalErases_;
@@ -259,21 +301,7 @@ BlockPool::retireBlock(BlockId b)
                    "retireBlock with live units; relocate first");
     EMMCSIM_ASSERT(active_ != static_cast<std::int32_t>(i),
                    "retireBlock on the active block");
-    const std::size_t first =
-        pageIndex(units::blockFirstPage(b, pagesPerBlock_));
-    std::fill(lpns_.begin() +
-                  static_cast<std::ptrdiff_t>(first * unitsPerPage_),
-              lpns_.begin() + static_cast<std::ptrdiff_t>(
-                  (first + pagesPerBlock_) * unitsPerPage_),
-              kNoLpn);
-    std::fill(valid_.begin() + static_cast<std::ptrdiff_t>(first),
-              valid_.begin() +
-                  static_cast<std::ptrdiff_t>(first + pagesPerBlock_),
-              std::uint8_t{0});
-    std::fill(pageSeq_.begin() + static_cast<std::ptrdiff_t>(first),
-              pageSeq_.begin() +
-                  static_cast<std::ptrdiff_t>(first + pagesPerBlock_),
-              std::uint64_t{0});
+    releaseSlab(i);
     // The write pointer stays at the end: a retired block is "full" of
     // nothing, keeping it out of every allocation and victim scan.
     writePtr_[i] = pagesPerBlock_;
@@ -305,19 +333,30 @@ BlockPool::blockFree(BlockId b) const
     return isFree_[i];
 }
 
+bool
+BlockPool::blockHasSlab(BlockId b) const
+{
+    const std::uint32_t i = blockIndex(b);
+    EMMCSIM_ASSERT(i < blocks_, "blockHasSlab out of range");
+    return slabs_[i] != nullptr;
+}
+
 void
 BlockPool::corruptUnitForTest(Ppn ppn, std::uint32_t slot, Lpn lpn,
                               bool valid)
 {
-    const std::size_t p = pageIndex(ppn);
-    EMMCSIM_ASSERT(p < pageCount() && slot < unitsPerPage_,
+    EMMCSIM_ASSERT(ppn.value() < pageCount() && slot < unitsPerPage_,
                    "corruptUnitForTest out of range");
-    lpns_[p * unitsPerPage_ + slot] = lpn;
+    if (!slabs_[blockOf(ppn)])
+        attachSlab(blockOf(ppn));
+    PageSlab &s = ownedSlabOf(ppn);
+    const std::uint32_t p = pageInBlock(ppn);
+    s.lpns[p * unitsPerPage_ + slot] = lpn;
     std::uint8_t bit = static_cast<std::uint8_t>(1u << slot);
     if (valid)
-        valid_[p] |= bit;
+        s.valid[p] |= bit;
     else
-        valid_[p] &= static_cast<std::uint8_t>(~bit);
+        s.valid[p] &= static_cast<std::uint8_t>(~bit);
 }
 
 void
@@ -345,45 +384,46 @@ BlockPool::corruptRetiredForTest(BlockId b, bool retired)
 void
 BlockPool::stampPageSeq(Ppn ppn, std::uint64_t seq)
 {
-    const std::size_t p = pageIndex(ppn);
-    EMMCSIM_ASSERT(p < pageCount(), "stampPageSeq out of range");
+    EMMCSIM_ASSERT(ppn.value() < pageCount(), "stampPageSeq out of range");
     EMMCSIM_ASSERT(seq > 0, "page seq stamps start at 1");
-    pageSeq_[p] = seq;
+    ownedSlabOf(ppn).seq[pageInBlock(ppn)] = seq;
 }
 
 std::uint64_t
 BlockPool::pageSeq(Ppn ppn) const
 {
-    const std::size_t p = pageIndex(ppn);
-    EMMCSIM_ASSERT(p < pageCount(), "pageSeq out of range");
-    return pageSeq_[p];
+    EMMCSIM_ASSERT(ppn.value() < pageCount(), "pageSeq out of range");
+    return slabOf(ppn).seq[pageInBlock(ppn)];
 }
 
 void
 BlockPool::tearPage(Ppn ppn)
 {
-    const std::size_t p = pageIndex(ppn);
-    EMMCSIM_ASSERT(p < pageCount(), "tearPage out of range");
-    const std::uint32_t b =
-        blockIndex(units::pageToBlock(ppn, pagesPerBlock_));
-    for (std::uint32_t u = 0; u < unitsPerPage_; ++u) {
-        const std::uint8_t bit = static_cast<std::uint8_t>(1u << u);
-        if (valid_[p] & bit) {
-            EMMCSIM_ASSERT(blockValid_[b] > 0, "block valid underflow");
-            --blockValid_[b];
-            --validUnits_;
-        }
-        lpns_[p * unitsPerPage_ + u] = kNoLpn;
-    }
-    valid_[p] = 0;
-    pageSeq_[p] = 0;
+    EMMCSIM_ASSERT(ppn.value() < pageCount(), "tearPage out of range");
     ++tornPages_;
+    const std::uint32_t b = blockOf(ppn);
+    if (!slabs_[b])
+        return; // the block already reads as erased
+    PageSlab &s = *slabs_[b];
+    const std::uint32_t p = pageInBlock(ppn);
+    const std::uint32_t live =
+        static_cast<std::uint32_t>(std::popcount(s.valid[p]));
+    EMMCSIM_ASSERT(blockValid_[b] >= live, "block valid underflow");
+    blockValid_[b] -= live;
+    validUnits_ -= live;
+    std::fill_n(s.lpns.begin() + p * unitsPerPage_, unitsPerPage_, kNoLpn);
+    s.valid[p] = 0;
+    s.seq[p] = 0;
 }
 
 void
 BlockPool::beginRecoveryScan()
 {
-    std::fill(valid_.begin(), valid_.end(), std::uint8_t{0});
+    for (const auto &slab : slabs_) {
+        if (slab)
+            std::fill(slab->valid.begin(), slab->valid.end(),
+                      std::uint8_t{0});
+    }
     std::fill(blockValid_.begin(), blockValid_.end(), 0u);
     validUnits_ = 0;
 }
@@ -391,15 +431,16 @@ BlockPool::beginRecoveryScan()
 void
 BlockPool::revalidateUnit(Ppn ppn, std::uint32_t slot)
 {
-    const std::size_t p = pageIndex(ppn);
-    EMMCSIM_ASSERT(p < pageCount() && slot < unitsPerPage_,
+    EMMCSIM_ASSERT(ppn.value() < pageCount() && slot < unitsPerPage_,
                    "revalidateUnit out of range");
-    EMMCSIM_ASSERT(lpns_[p * unitsPerPage_ + slot] != kNoLpn,
+    const std::uint32_t p = pageInBlock(ppn);
+    EMMCSIM_ASSERT(slabOf(ppn).lpns[p * unitsPerPage_ + slot] != kNoLpn,
                    "revalidateUnit on unwritten slot");
+    PageSlab &s = ownedSlabOf(ppn);
     const std::uint8_t bit = static_cast<std::uint8_t>(1u << slot);
-    EMMCSIM_ASSERT(!(valid_[p] & bit), "revalidateUnit on live unit");
-    valid_[p] |= bit;
-    ++blockValid_[blockIndex(units::pageToBlock(ppn, pagesPerBlock_))];
+    EMMCSIM_ASSERT(!(s.valid[p] & bit), "revalidateUnit on live unit");
+    s.valid[p] |= bit;
+    ++blockValid_[blockOf(ppn)];
     ++validUnits_;
 }
 
@@ -410,6 +451,9 @@ BlockPool::sealOpenBlocks()
         sealBlock(BlockId{static_cast<std::uint32_t>(active_)});
 }
 
+// Image layout (snapshot v2): shape, the fixed-width scalars (active_
+// sits at byte offset 24), the flat per-block state, then one record
+// per slabbed block in ascending block order.
 void
 BlockPool::save(core::BinWriter &w) const
 {
@@ -417,24 +461,32 @@ BlockPool::save(core::BinWriter &w) const
     w.u32(unitsPerPage_);
     w.u32(blocks_);
     w.u32(pagesPerBlock_);
-    w.podVec(lpns_);
-    w.podVec(valid_);
-    w.sparseU64(pageSeq_);
-    w.podVec(writePtr_);
-    w.podVec(blockValid_);
-    w.podVec(eraseCnt_);
-    w.podVec(lastWriteSeq_);
-    w.u64(allocSeq_);
-    w.boolVec(isFree_);
-    w.boolVec(suspect_);
-    w.boolVec(retired_);
     w.u32(freeCount_);
     w.u32(retiredCount_);
     w.i32(active_);
+    w.u64(allocSeq_);
     w.u64(totalErases_);
     w.u64(programmed_);
     w.u64(validUnits_);
     w.u64(tornPages_);
+    w.podVec(writePtr_);
+    w.podVec(blockValid_);
+    w.podVec(eraseCnt_);
+    w.podVec(lastWriteSeq_);
+    w.boolVec(isFree_);
+    w.boolVec(suspect_);
+    w.boolVec(retired_);
+    w.u32(static_cast<std::uint32_t>(
+        blocks_ - std::count(slabs_.begin(), slabs_.end(), nullptr)));
+    for (std::uint32_t b = 0; b < blocks_; ++b) {
+        const PageSlab *slab = slabs_[b].get();
+        if (!slab)
+            continue;
+        w.u32(b);
+        w.podSpan(slab->lpns.data(), slab->lpns.size());
+        w.podSpan(slab->valid.data(), slab->valid.size());
+        w.podSpan(slab->seq.data(), slab->seq.size());
+    }
 }
 
 void
@@ -445,30 +497,97 @@ BlockPool::load(core::BinReader &r)
         r.fail();
         return;
     }
-    r.podVec(lpns_);
-    r.podVec(valid_);
-    r.sparseU64(pageSeq_);
-    r.podVec(writePtr_);
-    r.podVec(blockValid_);
-    r.podVec(eraseCnt_);
-    r.podVec(lastWriteSeq_);
-    allocSeq_ = r.u64();
-    r.boolVec(isFree_);
-    r.boolVec(suspect_);
-    r.boolVec(retired_);
     freeCount_ = r.u32();
     retiredCount_ = r.u32();
     active_ = r.i32();
+    allocSeq_ = r.u64();
     totalErases_ = r.u64();
     programmed_ = r.u64();
     validUnits_ = r.u64();
     tornPages_ = r.u64();
-    if (lpns_.size() != pageCount() * unitsPerPage_ ||
-        valid_.size() != pageCount() || pageSeq_.size() != pageCount() ||
-        writePtr_.size() != blocks_ || blockValid_.size() != blocks_ ||
+    r.podVec(writePtr_);
+    r.podVec(blockValid_);
+    r.podVec(eraseCnt_);
+    r.podVec(lastWriteSeq_);
+    r.boolVec(isFree_);
+    r.boolVec(suspect_);
+    r.boolVec(retired_);
+    if (writePtr_.size() != blocks_ || blockValid_.size() != blocks_ ||
         eraseCnt_.size() != blocks_ || lastWriteSeq_.size() != blocks_ ||
         isFree_.size() != blocks_ || suspect_.size() != blocks_ ||
-        retired_.size() != blocks_)
+        retired_.size() != blocks_) {
+        r.fail();
+        return;
+    }
+
+    // Every later accessor trusts these: an out-of-range active block
+    // or write pointer would index past the per-block arrays.
+    std::uint32_t free_flags = 0;
+    std::uint32_t retired_flags = 0;
+    std::uint32_t need_slab = 0;
+    bool ok = active_ >= -1 && active_ < static_cast<std::int64_t>(blocks_);
+    for (std::uint32_t b = 0; b < blocks_; ++b) {
+        free_flags += isFree_[b];
+        retired_flags += retired_[b];
+        need_slab += !isFree_[b] && !retired_[b];
+        ok = ok && writePtr_[b] <= pagesPerBlock_ &&
+             !(isFree_[b] && retired_[b]) &&
+             (!isFree_[b] || writePtr_[b] == 0);
+    }
+    ok = ok && free_flags == freeCount_ && retired_flags == retiredCount_;
+    if (ok && active_ >= 0)
+        ok = !isFree_[active_] && !retired_[active_];
+    if (!ok) {
+        r.fail();
+        return;
+    }
+
+    // Slabs: exactly the blocks that are neither free nor retired, in
+    // ascending order, each re-deriving its block's valid count.
+    for (std::uint32_t b = 0; b < blocks_; ++b) {
+        if (slabs_[b])
+            releaseSlab(b);
+    }
+    const std::uint32_t count = r.u32();
+    if (count != need_slab) {
+        r.fail();
+        return;
+    }
+    const std::uint8_t slot_bits =
+        static_cast<std::uint8_t>((1u << unitsPerPage_) - 1u);
+    std::uint64_t valid_sum = 0;
+    std::int64_t prev = -1;
+    for (std::uint32_t k = 0; k < count; ++k) {
+        const std::uint32_t b = r.u32();
+        if (!r.ok() || static_cast<std::int64_t>(b) <= prev ||
+            b >= blocks_ || isFree_[b] || retired_[b]) {
+            r.fail();
+            return;
+        }
+        prev = b;
+        attachSlab(b);
+        PageSlab &s = *slabs_[b];
+        r.podSpan(s.lpns.data(), s.lpns.size());
+        r.podSpan(s.valid.data(), s.valid.size());
+        r.podSpan(s.seq.data(), s.seq.size());
+        std::uint32_t derived = 0;
+        for (std::uint8_t v : s.valid) {
+            ok = ok && (v & ~slot_bits) == 0;
+            derived += static_cast<std::uint32_t>(std::popcount(v));
+        }
+        if (!ok || derived != blockValid_[b]) {
+            r.fail();
+            return;
+        }
+        valid_sum += derived;
+    }
+    for (std::uint32_t b = 0; b < blocks_; ++b) {
+        if (!slabs_[b] && blockValid_[b] != 0) {
+            r.fail();
+            return;
+        }
+    }
+    if (valid_sum != validUnits_)
         r.fail();
 }
 

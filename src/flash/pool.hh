@@ -12,6 +12,14 @@
  * counts, free lists); policy (when to GC, which victim) lives in the
  * ftl module.
  *
+ * Per-block counters and flags are flat over all blocks. Per-page state
+ * (stored lpns, valid bits, OOB seq stamps) lives in per-block slabs
+ * (DESIGN.md §17): a block gets a slab when it is opened and returns it
+ * to the pool's spare list, cleared, when it is erased or retired; a
+ * block without one reads as erased. So a block owns a slab iff it is
+ * neither free nor retired, and memory tracks the written footprint,
+ * not capacity.
+ *
  * Addressing is strongly typed (core/units.hh): logical units are
  * flash::Lpn (= units::UnitAddr), physical pages are flash::Ppn
  * (= units::PageNo), blocks are flash::BlockId. The only raw integer
@@ -24,6 +32,7 @@
 #define EMMCSIM_FLASH_POOL_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/binio.hh"
@@ -48,7 +57,8 @@ class BlockPool
   public:
     /**
      * @param cfg             Pool configuration (page size, block count).
-     * @param pages_per_block Pages per block (Geometry::pagesPerBlock).
+     * @param pages_per_block Pages per block (Geometry::pagesPerBlock);
+     *                        must be a power of two.
      */
     BlockPool(const PoolConfig &cfg, std::uint32_t pages_per_block);
 
@@ -235,10 +245,18 @@ class BlockPool
     bool blockFree(BlockId b) const;
 
     /**
+     * @return true when block @p b owns a page slab. Holds exactly for
+     * blocks that are neither free nor retired; the others read as
+     * erased without one.
+     */
+    bool blockHasSlab(BlockId b) const;
+
+    /**
      * Test hook: overwrite one slot's raw state (stored lpn + valid
      * bit) without maintaining any counter, planting exactly the kind
-     * of silent corruption the check/ subsystem must detect. Never
-     * call outside tests.
+     * of silent corruption the check/ subsystem must detect. A block
+     * without a slab gets one, so planting data on a free block also
+     * breaks slab ownership. Never call outside tests.
      */
     void corruptUnitForTest(Ppn ppn, std::uint32_t slot, Lpn lpn,
                             bool valid);
@@ -254,15 +272,58 @@ class BlockPool
     /** @} */
 
   private:
+    /**
+     * Per-page state of one block. Sized once at construction, so the
+     * vectors' buffers never move; the slab itself is a heap object
+     * that survives pool moves and spare-list round trips.
+     */
+    struct PageSlab
+    {
+        PageSlab(std::uint32_t pages, std::uint32_t units_per_page);
+
+        /** Back to the erased state (kNoLpn, no valid unit, seq 0). */
+        void clear();
+
+        /** lpn per (page, slot); kNoLpn when unwritten. */
+        std::vector<Lpn> lpns;
+        /** valid bitmask per page (bit u = slot u live). */
+        std::vector<std::uint8_t> valid;
+        /** OOB write-sequence stamp per page (0 = unstamped). */
+        std::vector<std::uint64_t> seq;
+    };
+
     /** Pop the free block with the lowest erase count. */
     std::uint32_t takeFreeBlock();
 
-    /** Flat lpns_/valid_ index of @p ppn (audited domain exit). */
-    std::size_t
-    pageIndex(Ppn ppn) const
+    /** Give block @p b a cleared slab (spare list first). */
+    void attachSlab(std::uint32_t b);
+
+    /** Clear block @p b's slab and put it on the spare list. */
+    void releaseSlab(std::uint32_t b);
+
+    /** Block index of @p ppn (audited domain exit; shift, no divide). */
+    std::uint32_t
+    blockOf(Ppn ppn) const
     {
-        return static_cast<std::size_t>(ppn.value());
+        return static_cast<std::uint32_t>(ppn.value() >> pageShift_);
     }
+
+    /** Page offset of @p ppn within its block. */
+    std::uint32_t
+    pageInBlock(Ppn ppn) const
+    {
+        return static_cast<std::uint32_t>(ppn.value() & pageMask_);
+    }
+
+    /** Slab @p ppn reads through (erased_ when its block has none). */
+    const PageSlab &
+    slabOf(Ppn ppn) const
+    {
+        return *view_[blockOf(ppn)];
+    }
+
+    /** Writable slab of @p ppn's block; panics when it has none. */
+    PageSlab &ownedSlabOf(Ppn ppn);
 
     /** Internal block index of @p b (audited domain exit). */
     std::uint32_t
@@ -275,13 +336,19 @@ class BlockPool
     std::uint32_t unitsPerPage_;
     std::uint32_t blocks_;
     std::uint32_t pagesPerBlock_;
+    /** log2(pagesPerBlock_) and pagesPerBlock_ - 1. */
+    std::uint32_t pageShift_;
+    std::uint64_t pageMask_;
 
-    /** lpn per (page, slot); flat, kNoLpn when unwritten/erased. */
-    std::vector<Lpn> lpns_;
-    /** valid bitmask per page (bit u = slot u live). */
-    std::vector<std::uint8_t> valid_;
-    /** OOB write-sequence stamp per page (0 = unstamped). */
-    std::vector<std::uint64_t> pageSeq_;
+    /** Per block: its own slab, or null. */
+    std::vector<std::unique_ptr<PageSlab>> slabs_;
+    /** Per block: what reads go through (own slab or erased_). */
+    std::vector<const PageSlab *> view_;
+    /** Cleared slabs of erased/retired blocks, reused first. */
+    std::vector<std::unique_ptr<PageSlab>> spare_;
+    /** The shared all-erased slab; never written. */
+    std::unique_ptr<const PageSlab> erased_;
+
     /** write pointer per block (pages programmed so far). */
     std::vector<std::uint32_t> writePtr_;
     /** live units per block. */

@@ -7,7 +7,7 @@
 namespace emmcsim::ftl {
 
 MetaJournal::MetaJournal(PageMap &map, const JournalConfig &cfg)
-    : map_(map), cfg_(cfg)
+    : map_(map), cfg_(cfg), trimSeq_(map.logicalUnits())
 {
     EMMCSIM_ASSERT(cfg_.recordsPerPage >= 1,
                    "journal page must hold at least one record");
@@ -58,9 +58,7 @@ MetaJournal::recordTrim(flash::Lpn lpn)
     map_.clear(lpn);
     ++stats_.trimRecords;
     const std::uint64_t s = append();
-    if (trimSeq_.empty())
-        trimSeq_.assign(map_.logicalUnits(), 0);
-    trimSeq_[static_cast<std::size_t>(lpn.value())] = s;
+    trimSeq_.mut(static_cast<std::uint64_t>(lpn.value())) = s;
     return s;
 }
 
@@ -108,12 +106,12 @@ std::uint64_t
 MetaJournal::dropVolatileTrims()
 {
     std::uint64_t dropped = 0;
-    for (std::uint64_t &s : trimSeq_) {
+    trimSeq_.forEachOwnedMut([&](std::uint64_t, std::uint64_t &s) {
         if (s > durableSeq_) {
             s = 0;
             ++dropped;
         }
-    }
+    });
     stats_.droppedTrims += dropped;
     return dropped;
 }
@@ -133,9 +131,7 @@ MetaJournal::installRecovered(flash::Lpn lpn, const MapEntry &e)
 std::uint64_t
 MetaJournal::durableTrimSeq(flash::Lpn lpn) const
 {
-    if (trimSeq_.empty())
-        return 0;
-    return trimSeq_[static_cast<std::size_t>(lpn.value())];
+    return trimSeq_[static_cast<std::uint64_t>(lpn.value())];
 }
 
 void
@@ -149,7 +145,7 @@ MetaJournal::save(core::BinWriter &w) const
     w.u64(pagesSinceCheckpoint_);
     w.u64(checkpointPages_);
     w.i64(lastEraseDone_);
-    w.sparseU64(trimSeq_);
+    trimSeq_.save(w);
 }
 
 void
@@ -163,9 +159,7 @@ MetaJournal::load(core::BinReader &r)
     pagesSinceCheckpoint_ = r.u64();
     checkpointPages_ = r.u64();
     lastEraseDone_ = r.i64();
-    r.sparseU64(trimSeq_);
-    if (!trimSeq_.empty() && trimSeq_.size() != map_.logicalUnits())
-        r.fail();
+    trimSeq_.load(r);
 }
 
 } // namespace emmcsim::ftl

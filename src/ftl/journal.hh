@@ -27,8 +27,7 @@
 #define EMMCSIM_FTL_JOURNAL_HH
 
 #include <cstdint>
-#include <vector>
-
+#include "ftl/chunked_table.hh"
 #include "ftl/mapping.hh"
 #include "sim/types.hh"
 
@@ -176,10 +175,11 @@ class MetaJournal
     sim::Time lastEraseDone_ = 0;
 
     /**
-     * Per-lpn sequence of the latest trim (0 = none). Sized lazily on
-     * the first trim; most workloads never allocate it.
+     * Per-lpn sequence of the latest trim (0 = none). Sparse: only the
+     * chunks holding a trimmed lpn have storage, and most workloads
+     * never trim at all.
      */
-    std::vector<std::uint64_t> trimSeq_;
+    ChunkedTable<std::uint64_t> trimSeq_;
 };
 
 } // namespace emmcsim::ftl

@@ -1,15 +1,10 @@
 #include "ftl/mapping.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace emmcsim::ftl {
 
-PageMap::PageMap(std::uint64_t logical_units)
-{
-    entries_.assign(logical_units, MapEntry{});
-}
+PageMap::PageMap(std::uint64_t logical_units) : entries_(logical_units) {}
 
 void
 PageMap::checkRange(flash::Lpn lpn) const
@@ -23,15 +18,14 @@ PageMap::checkRange(flash::Lpn lpn) const
 bool
 PageMap::mapped(flash::Lpn lpn) const
 {
-    checkRange(lpn);
-    return entries_[static_cast<std::size_t>(lpn.value())].mapped();
+    return lookup(lpn).mapped();
 }
 
 const MapEntry &
 PageMap::lookup(flash::Lpn lpn) const
 {
     checkRange(lpn);
-    return entries_[static_cast<std::size_t>(lpn.value())];
+    return entries_[static_cast<std::uint64_t>(lpn.value())];
 }
 
 void
@@ -39,7 +33,7 @@ PageMap::set(flash::Lpn lpn, const MapEntry &e)
 {
     checkRange(lpn);
     EMMCSIM_ASSERT(e.mapped(), "setting unmapped entry; use clear()");
-    auto &slot = entries_[static_cast<std::size_t>(lpn.value())];
+    auto &slot = entries_.mut(static_cast<std::uint64_t>(lpn.value()));
     if (!slot.mapped())
         ++mappedCount_;
     slot = e;
@@ -48,36 +42,38 @@ PageMap::set(flash::Lpn lpn, const MapEntry &e)
 void
 PageMap::clear(flash::Lpn lpn)
 {
-    checkRange(lpn);
-    auto &slot = entries_[static_cast<std::size_t>(lpn.value())];
-    if (slot.mapped()) {
-        --mappedCount_;
-        slot = MapEntry{};
-    }
+    // An unmapped entry needs no write, so clearing inside an untouched
+    // chunk never allocates it.
+    if (!lookup(lpn).mapped())
+        return;
+    --mappedCount_;
+    entries_.mut(static_cast<std::uint64_t>(lpn.value())) = MapEntry{};
 }
 
 void
 PageMap::reset()
 {
-    std::fill(entries_.begin(), entries_.end(), MapEntry{});
+    entries_.reset();
     mappedCount_ = 0;
 }
 
 void
 PageMap::save(core::BinWriter &w) const
 {
-    w.podVec(entries_);
+    entries_.save(w);
     w.u64(mappedCount_);
 }
 
 void
 PageMap::load(core::BinReader &r)
 {
-    const std::uint64_t logical = entries_.size();
-    r.podVec(entries_);
-    mappedCount_ = r.u64();
-    if (entries_.size() != logical)
+    entries_.load(r);
+    std::uint64_t mapped = 0;
+    entries_.forEachOwned(
+        [&mapped](std::uint64_t, const MapEntry &e) { mapped += e.mapped(); });
+    if (r.u64() != mapped)
         r.fail();
+    mappedCount_ = mapped;
 }
 
 } // namespace emmcsim::ftl

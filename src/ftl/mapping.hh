@@ -7,15 +7,20 @@
  * physical pages (8KB) hold two adjacent mapping entries pointing at
  * the same page with different unit slots, which is the essence of the
  * HPS design: the map does not force page size to be uniform.
+ *
+ * The table is a ChunkedTable (DESIGN.md §17): it costs a ~2k-slot
+ * directory at construction and one 64 KiB chunk per 4096-unit range
+ * that has ever been written, so a fresh 32 GB device builds in
+ * microseconds and memory tracks the written footprint.
  */
 
 #ifndef EMMCSIM_FTL_MAPPING_HH
 #define EMMCSIM_FTL_MAPPING_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "flash/pool.hh"
+#include "ftl/chunked_table.hh"
 
 namespace emmcsim::ftl {
 
@@ -31,7 +36,7 @@ struct MapEntry
     bool operator==(const MapEntry &o) const = default;
 };
 
-/** Flat LPN -> MapEntry table. */
+/** Sparse LPN -> MapEntry table. */
 class PageMap
 {
   public:
@@ -40,6 +45,9 @@ class PageMap
 
     /** Number of exported logical units. */
     std::uint64_t logicalUnits() const { return entries_.size(); }
+
+    /** Chunks that hold their own storage (the written footprint). */
+    std::size_t ownedChunks() const { return entries_.ownedChunks(); }
 
     /** @return true when @p lpn has a physical location. */
     bool mapped(flash::Lpn lpn) const;
@@ -63,15 +71,34 @@ class PageMap
      */
     void reset();
 
+    /**
+     * Visit every entry of every chunk written since construction or
+     * the last reset(), ascending, as f(lpn, entry). Every other entry
+     * is unmapped; the audit walks this, not the whole logical space.
+     */
+    template <typename F>
+    void
+    forEachOwned(F &&f) const
+    {
+        entries_.forEachOwned([&f](std::uint64_t i, const MapEntry &e) {
+            f(flash::Lpn{static_cast<std::int64_t>(i)}, e);
+        });
+    }
+
     /** @name Snapshot image (core/binio.hh). @{ */
     void save(core::BinWriter &w) const;
+
+    /**
+     * Restore from @p r. The mapped count is recounted from the loaded
+     * entries; a stored count that disagrees marks the reader failed.
+     */
     void load(core::BinReader &r);
     /** @} */
 
   private:
     void checkRange(flash::Lpn lpn) const;
 
-    std::vector<MapEntry> entries_;
+    ChunkedTable<MapEntry> entries_;
     std::uint64_t mappedCount_ = 0;
 };
 

@@ -17,8 +17,7 @@
  * and write a fresh checkpoint.
  */
 
-#include <vector>
-
+#include "ftl/chunked_table.hh"
 #include "ftl/ftl.hh"
 #include "sim/logging.hh"
 
@@ -67,7 +66,7 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
         std::uint16_t unit = 0;
         flash::Ppn ppn{0};
     };
-    std::vector<Winner> winners(map_.logicalUnits());
+    ChunkedTable<Winner> winners(map_.logicalUnits());
 
     journal_.resetMapForRecovery();
     for (std::uint32_t pl = 0; pl < geom.planeCount(); ++pl) {
@@ -94,8 +93,12 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
                         const flash::Lpn lpn = bp.lpnAt(ppn, u);
                         if (lpn == flash::kNoLpn)
                             continue;
-                        auto &win = winners[static_cast<std::size_t>(
-                            lpn.value())];
+                        EMMCSIM_ASSERT(static_cast<std::uint64_t>(
+                                           lpn.value()) < winners.size(),
+                                       "OOB stamp outside the logical "
+                                       "space");
+                        auto &win = winners.mut(
+                            static_cast<std::uint64_t>(lpn.value()));
                         if (seq > win.seq) {
                             if (win.seq != 0)
                                 ++rep.staleCopies;
@@ -126,14 +129,13 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
 
     // 5. Install the winners, honouring durable trims: a trim recorded
     // after the winner was written voids it.
-    for (std::uint64_t l = 0; l < winners.size(); ++l) {
-        const Winner &win = winners[l];
+    winners.forEachOwned([&](std::uint64_t l, const Winner &win) {
         if (win.seq == 0)
-            continue;
+            return;
         const flash::Lpn lpn{static_cast<std::int64_t>(l)};
         if (journal_.durableTrimSeq(lpn) > win.seq) {
             ++rep.trimmedWinners;
-            continue;
+            return;
         }
         MapEntry e;
         e.planeLinear = static_cast<std::int32_t>(win.planeLinear);
@@ -145,7 +147,7 @@ Ftl::powerFailAndRecover(sim::Time crash_time)
             .pool(win.pool)
             .revalidateUnit(win.ppn, win.unit);
         ++rep.recoveredUnits;
-    }
+    });
 
     // 6. Volatile placement state restarts from scratch.
     alloc_.resetCursors();

@@ -12,7 +12,7 @@ namespace {
 
 /** Snapshot-image identification (bumped on any layout change). */
 const char kSnapshotMagic[] = "emmcsim-snap";
-constexpr std::uint32_t kSnapshotVersion = 1;
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 /**
  * Fold a request's address into the device's logical space (traces

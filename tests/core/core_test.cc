@@ -8,6 +8,10 @@
 
 #include <sstream>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/experiment.hh"
 #include "core/report.hh"
 #include "core/scheme.hh"
@@ -44,6 +48,47 @@ TEST(Scheme, MakeDeviceBuildsWorkingDevice)
     auto dev = makeDevice(s, SchemeKind::HPS);
     EXPECT_EQ(dev->config().name, "HPS");
     EXPECT_GT(dev->ftl().logicalUnits(), 0u);
+}
+
+#if defined(__GLIBC__)
+namespace {
+
+/** Heap MiB a fresh HPS device at @p scale holds after construction. */
+double
+deviceHeapMb(double scale)
+{
+    ExperimentOptions opts;
+    opts.capacityScale = scale;
+    const emmc::EmmcConfig cfg =
+        applyOptions(schemeConfig(SchemeKind::HPS), opts);
+    sim::Simulator s;
+    const struct mallinfo2 before = mallinfo2();
+    auto dev = makeDevice(s, SchemeKind::HPS, cfg);
+    const struct mallinfo2 after = mallinfo2();
+    return static_cast<double>((after.uordblks + after.hblkhd) -
+                               (before.uordblks + before.hblkhd)) /
+           (1024.0 * 1024.0);
+}
+
+} // namespace
+#endif
+
+TEST(Scheme, DeviceHeapIsCapacityIndependent)
+{
+#if defined(__GLIBC__)
+    // Device state scales with the written footprint (DESIGN.md §17):
+    // a fresh 32 GB device costs O(planes x blocks) plus a chunk
+    // directory, not a page table over the whole capacity.
+    const double small = deviceHeapMb(0.02);
+    const double full = deviceHeapMb(1.0);
+    RecordProperty("heap_mb_scale_0_02", std::to_string(small));
+    RecordProperty("heap_mb_scale_1_0", std::to_string(full));
+    EXPECT_LT(full - small, 1.0)
+        << "full-capacity device holds " << full << " MiB vs " << small
+        << " MiB at scale 0.02";
+#else
+    GTEST_SKIP() << "heap accounting needs glibc mallinfo2";
+#endif
 }
 
 TEST(ExperimentOptions, ApplyTogglesConfig)

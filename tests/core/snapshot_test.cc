@@ -10,7 +10,10 @@
 
 #include <sstream>
 
+#include "core/binio.hh"
 #include "core/experiment.hh"
+#include "core/scheme.hh"
+#include "host/replayer.hh"
 #include "obs/report.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
@@ -141,6 +144,43 @@ TEST(Snapshot, ResumedRunPassesFinalAudit)
     EXPECT_TRUE(resumed.audit.clean())
         << "post-resume audit found " << resumed.audit.totalViolations()
         << " violation(s)";
+}
+
+TEST(Snapshot, DeviceImageSaveLoadSaveIsByteIdentical)
+{
+    // A GC-active device: Twitter's writes on a 64 MB HPS device with
+    // 16-page blocks erase and reopen blocks, so the image carries
+    // recycled slabs and a mix of free, open and full blocks.
+    trace::Trace t = genTrace("Twitter", 0.3);
+    emmc::EmmcConfig cfg = schemeConfig(SchemeKind::HPS);
+    cfg.geometry.pagesPerBlock = 16;
+    cfg.geometry.pools[0].blocksPerPlane = 64;
+    cfg.geometry.pools[1].blocksPerPlane = 32;
+
+    sim::Simulator s;
+    auto dev = makeDevice(s, SchemeKind::HPS, cfg);
+    host::Replayer rep(s, *dev);
+    rep.replay(t);
+    std::uint64_t erases = 0;
+    const auto &geom = dev->ftl().array().geometry();
+    for (std::uint32_t pl = 0; pl < geom.planeCount(); ++pl)
+        for (std::size_t k = 0; k < geom.pools.size(); ++k)
+            erases += dev->ftl().array().plane(pl).pool(k).totalErases();
+    EXPECT_GT(erases, 0u);
+    core::BinWriter w;
+    dev->save(w);
+
+    sim::Simulator s2;
+    auto copy = makeDevice(s2, SchemeKind::HPS, cfg);
+    core::BinReader r(w.data());
+    copy->load(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.remaining(), 0u);
+    core::BinWriter again;
+    copy->save(again);
+    EXPECT_TRUE(again.data() == w.data())
+        << "save -> load -> save drifted (" << again.data().size()
+        << " vs " << w.data().size() << " bytes)";
 }
 
 TEST(Snapshot, GarbageImageIsRejected)
