@@ -38,7 +38,9 @@
  * replay also accepts --spo-at=NS[,NS...] / --spo-random=N,seed to cut
  * device power mid-run and drive the FTL recovery path. A replay of an
  * emmctrace-bin file streams it chunk by chunk (bounded memory for
- * multi-GB traces); SPO / snapshot / restore need a text trace.
+ * multi-GB traces); --spo-at works on it, while --spo-random (which
+ * needs the whole trace's horizon), snapshot and restore need a text
+ * trace.
  */
 
 #include <algorithm>
@@ -286,10 +288,10 @@ cmdReplay(const std::string &path, const std::string &scheme,
                          "and cannot capture/resume)\n";
             return 2;
         }
-        if (!opts.spo.ticks.empty() || spo_random.count > 0) {
-            std::cerr << "error: --spo-* needs a text trace "
-                         "(emmctrace-bin streams and cannot inject "
-                         "power cuts)\n";
+        if (spo_random.count > 0) {
+            std::cerr << "error: --spo-random needs a text trace "
+                         "(it draws cuts over the whole trace's "
+                         "horizon; use --spo-at on emmctrace-bin)\n";
             return 2;
         }
         trace::BinTraceSource src(path);

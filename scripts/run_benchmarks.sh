@@ -34,6 +34,12 @@
 # way: more than 1.25x the baseline fails, so device state cannot
 # quietly go back to being sized by capacity.
 #
+# Single runs of the same binary swing ~1.5x with host contention on a
+# shared VM, so the gated benchmarks run a second time with
+# GATE_REPS repetitions (kept in the output JSON), and the gate
+# compares the best iteration of each on both sides: max items/s,
+# min heap_mb. A baseline is regenerated the same way, by this script.
+#
 # Usage: scripts/run_benchmarks.sh [output.json]
 #   BUILD_DIR=<dir>           build tree to use (default: build)
 #   EMMCSIM_BENCH_ARGS=...    extra google-benchmark flags (e.g.
@@ -52,6 +58,10 @@ BASELINE="${EMMCSIM_BENCH_BASELINE:-$SCRIPT_DIR/../bench/BENCH_simcore.json}"
 BENCHES=("$BUILD_DIR/bench/bench_micro_sim"
          "$BUILD_DIR/bench/bench_recovery"
          "$BUILD_DIR/bench/bench_ingest")
+# Benchmarks the gate checks (GATED_PREFIXES below) and how many
+# repetitions of them it takes the best of.
+GATE_FILTER='^(BM_EventQueueScheduleRun|BM_DeviceConstruction)'
+GATE_REPS=10
 
 PARTS=()
 for BENCH in "${BENCHES[@]}"; do
@@ -67,6 +77,16 @@ for BENCH in "${BENCHES[@]}"; do
         ${EMMCSIM_BENCH_ARGS:-}
     PARTS+=("$PART")
 done
+
+# Gate pass: the gated benchmarks again, GATE_REPS repetitions each.
+PART="$OUT.gate.part"
+"$BUILD_DIR/bench/bench_micro_sim" \
+    --benchmark_filter="$GATE_FILTER" \
+    --benchmark_repetitions="$GATE_REPS" \
+    --benchmark_enable_random_interleaving=true \
+    --benchmark_out="$PART" \
+    --benchmark_out_format=json > /dev/null
+PARTS+=("$PART")
 
 # bench_biotracer_overhead is not a google-benchmark binary; its
 # --bench-json flag emits a compatible part with the attribution
@@ -110,7 +130,9 @@ import sys
 # Only pure CPU loops are gated (the event core, device construction);
 # the replay/recovery benches touch the filesystem and are too noisy
 # for a hard gate. Lower-is-better counters (heap_mb) fail above
-# HEAP_TOLERANCE x the baseline.
+# HEAP_TOLERANCE x the baseline. Each side contributes the best of
+# its iterations of a benchmark (the suite pass plus the gate pass's
+# repetitions); mean/median/stddev rows are skipped.
 GATED_PREFIXES = ("BM_EventQueueScheduleRun", "BM_DeviceConstruction")
 TOLERANCE = 0.75
 LOWER_GATED = {"BM_DeviceConstruction": "heap_mb"}
@@ -119,43 +141,52 @@ HEAP_TOLERANCE = 1.25
 out_path, base_path = sys.argv[1:]
 
 def load(path):
-    return {b["name"]: b for b in json.load(open(path))["benchmarks"]}
+    """Best iteration per benchmark: max items/s, min LOWER_GATED."""
+    rates, lows = {}, {}
+    for b in json.load(open(path))["benchmarks"]:
+        if b.get("run_type", "iteration") != "iteration":
+            continue
+        name = b.get("run_name", b["name"])
+        if "items_per_second" in b:
+            rates[name] = max(rates.get(name, 0.0), b["items_per_second"])
+        counter = LOWER_GATED.get(name)
+        if counter in b:
+            lows[name] = min(lows.get(name, float("inf")), b[counter])
+    return rates, lows
 
-current = load(out_path)
-baseline = load(base_path)
+cur_rates, cur_lows = load(out_path)
+base_rates, base_lows = load(base_path)
 failures = []
 gated = 0
-for name, base in sorted(baseline.items()):
-    if not name.startswith(GATED_PREFIXES) or "items_per_second" not in base:
+for name, base_rate in sorted(base_rates.items()):
+    if not name.startswith(GATED_PREFIXES):
         continue
     gated += 1
-    cur = current.get(name)
-    if cur is None or "items_per_second" not in cur:
+    rate = cur_rates.get(name)
+    if rate is None:
         failures.append(f"{name}: benchmark disappeared from {out_path}")
         continue
-    base_rate = base["items_per_second"]
-    ratio = cur["items_per_second"] / base_rate
+    ratio = rate / base_rate
     marker = "FAIL" if ratio < TOLERANCE else "ok"
-    print(f"  gate {name}: {cur['items_per_second']:.4g}/s vs baseline "
+    print(f"  gate {name}: best {rate:.4g}/s vs baseline best "
           f"{base_rate:.4g}/s ({ratio:.2f}x) {marker}")
     if ratio < TOLERANCE:
         failures.append(
-            f"{name}: {cur['items_per_second']:.4g} items/s is "
-            f"{ratio:.2f}x the baseline {base_rate:.4g} "
-            f"(threshold {TOLERANCE}x)")
+            f"{name}: {rate:.4g} items/s is {ratio:.2f}x the baseline "
+            f"{base_rate:.4g} (threshold {TOLERANCE}x)")
 for name, counter in sorted(LOWER_GATED.items()):
-    base = baseline.get(name, {}).get(counter)
+    base = base_lows.get(name)
     if base is None:
         continue
     gated += 1
-    cur = current.get(name, {}).get(counter)
+    cur = cur_lows.get(name)
     if cur is None:
         failures.append(f"{name}: {counter} missing from {out_path}")
         continue
     limit = base * HEAP_TOLERANCE
     marker = "FAIL" if cur > limit else "ok"
-    print(f"  gate {name} {counter}: {cur:.3f} vs baseline {base:.3f} "
-          f"(limit {limit:.3f}) {marker}")
+    print(f"  gate {name} {counter}: best {cur:.3f} vs baseline best "
+          f"{base:.3f} (limit {limit:.3f}) {marker}")
     if cur > limit:
         failures.append(
             f"{name}: {counter} {cur:.3f} exceeds {HEAP_TOLERANCE}x "

@@ -93,10 +93,9 @@ constexpr std::uint32_t kCaseVersion = 1;
 
 /**
  * Fill every device-side CaseResult column from the post-replay
- * device + replayer state. Shared by the in-memory and streaming
- * paths so a column added for one cannot silently miss the other.
- * Excluded: p99ResponseMs (each path has its own latency store),
- * snapshot / obs / audit artifacts, scheme and traceName.
+ * device + replayer state. Excluded: p99ResponseMs (it depends on the
+ * replay sink), snapshot / obs / audit artifacts, scheme and
+ * traceName.
  */
 void
 collectDeviceColumns(CaseResult &res, emmc::EmmcDevice &device,
@@ -174,32 +173,21 @@ collectDeviceColumns(CaseResult &res, emmc::EmmcDevice &device,
     res.journalCheckpoints = jn.checkpoints;
 }
 
-/** Finish the observer and move its artifacts into @p res. */
-void
-collectObsArtifacts(CaseResult &res, obs::DeviceObserver *observer,
-                    const ObsRequest &req, const std::string &trace_name)
+/**
+ * What one case replays: an in-memory trace (resumed from @p image
+ * when set) or, with @p stream set, a streamed source.
+ */
+struct CaseInput
 {
-    if (observer == nullptr)
-        return;
-    observer->finish();
-    res.obs.enabled = true;
-    res.obs.metrics = observer->snapshot();
-    res.obs.series = observer->series();
-    if (req.traceSpans) {
-        std::ostringstream chrome;
-        observer->tracer().exportChromeTrace(chrome);
-        res.obs.chromeTrace = chrome.str();
-        std::ostringstream bt;
-        observer->tracer().exportBiotracerCsv(bt, trace_name);
-        res.obs.biotracerTrace = bt.str();
-    }
-    if (req.attribution)
-        res.obs.attribution = observer->attribution();
-}
+    const trace::Trace *trace = nullptr;
+    trace::TraceSource *stream = nullptr;
+    const std::string *image = nullptr;
+};
 
+/** The one case body behind runCase, runCaseStream and resumeCase. */
 CaseResult
-runCaseImpl(const trace::Trace &t, SchemeKind kind,
-            const ExperimentOptions &opts, const std::string *image)
+runCaseImpl(const CaseInput &in, SchemeKind kind,
+            const ExperimentOptions &opts)
 {
     sim::Simulator simulator;
     emmc::EmmcConfig cfg = applyOptions(schemeConfig(kind), opts);
@@ -207,12 +195,12 @@ runCaseImpl(const trace::Trace &t, SchemeKind kind,
 
     ftl::FtlStats before;
     std::string inner;
-    if (image != nullptr) {
+    if (in.image != nullptr) {
         // Resume: the device state (including any prefill) lives in
         // the image; re-aging it here would double the history.
         EMMCSIM_ASSERT(opts.spo.ticks.empty() && opts.snapshotAt < 0,
                        "resumeCase cannot inject SPO or re-snapshot");
-        BinReader header(*image);
+        BinReader header(*in.image);
         if (header.str() != kCaseMagic ||
             header.u32() != kCaseVersion) {
             sim::fatal("not an emmcsim case snapshot");
@@ -263,21 +251,28 @@ runCaseImpl(const trace::Trace &t, SchemeKind kind,
     replay_opts.maxRetries = opts.hostMaxRetries;
     replay_opts.spo = opts.spo;
     replay_opts.snapshotAt = opts.snapshotAt;
-    trace::Trace replayed =
-        image ? replayer.resume(t, inner, replay_opts)
-              : replayer.replay(t, replay_opts);
 
     CaseResult res;
     res.scheme = schemeName(kind);
-    res.traceName = t.name();
+    if (in.stream != nullptr) {
+        const host::StreamReplayResult sres =
+            replayer.replayStream(*in.stream, replay_opts);
+        res.traceName = in.stream->name();
+        // Histogram-estimated tail (the stream keeps no per-record
+        // timestamps); res.replayed stays empty by design.
+        res.p99ResponseMs = sres.responseHistMs.percentileEstimate(99.0);
+    } else {
+        res.replayed =
+            in.image ? replayer.resume(*in.trace, inner, replay_opts)
+                     : replayer.replay(*in.trace, replay_opts);
+        res.traceName = in.trace->name();
+        // Exact nearest-rank tail from the stamped records.
+        sim::Percentiles resp;
+        for (const auto &r : res.replayed.records())
+            resp.add(sim::toMilliseconds(r.finish - r.arrival));
+        res.p99ResponseMs = resp.percentile(99.0);
+    }
     collectDeviceColumns(res, *device, replayer, before);
-
-    // Tail latency from the replayed per-record timestamps (exact
-    // nearest-rank; the streaming path estimates from a histogram).
-    sim::Percentiles resp;
-    for (const auto &r : replayed.records())
-        resp.add(sim::toMilliseconds(r.finish - r.arrival));
-    res.p99ResponseMs = resp.percentile(99.0);
 
     if (replayer.snapshotTaken()) {
         BinWriter w;
@@ -288,8 +283,22 @@ runCaseImpl(const trace::Trace &t, SchemeKind kind,
         res.snapshotImage = w.take();
     }
 
-    res.replayed = std::move(replayed);
-    collectObsArtifacts(res, observer.get(), opts.obs, t.name());
+    if (observer) {
+        observer->finish();
+        res.obs.enabled = true;
+        res.obs.metrics = observer->snapshot();
+        res.obs.series = observer->series();
+        if (opts.obs.traceSpans) {
+            std::ostringstream chrome;
+            observer->tracer().exportChromeTrace(chrome);
+            res.obs.chromeTrace = chrome.str();
+            std::ostringstream bt;
+            observer->tracer().exportBiotracerCsv(bt, res.traceName);
+            res.obs.biotracerTrace = bt.str();
+        }
+        if (opts.obs.attribution)
+            res.obs.attribution = observer->attribution();
+    }
     if (auditor) {
         auditor->runFullAudit();
         auditor->detach();
@@ -304,77 +313,21 @@ CaseResult
 runCase(const trace::Trace &t, SchemeKind kind,
         const ExperimentOptions &opts)
 {
-    return runCaseImpl(t, kind, opts, nullptr);
+    return runCaseImpl({&t, nullptr, nullptr}, kind, opts);
 }
 
 CaseResult
 runCaseStream(trace::TraceSource &src, SchemeKind kind,
               const ExperimentOptions &opts)
 {
-    EMMCSIM_ASSERT(opts.spo.ticks.empty() && opts.snapshotAt < 0,
-                   "runCaseStream cannot inject SPO or snapshot (both "
-                   "need the in-memory path)");
-
-    sim::Simulator simulator;
-    emmc::EmmcConfig cfg = applyOptions(schemeConfig(kind), opts);
-    auto device = makeDevice(simulator, kind, cfg);
-
-    prefillDevice(*device, opts.prefill, opts.prefillSeed);
-    if (opts.prefill > 0.0)
-        device->ftl().journal().checkpoint();
-    const ftl::FtlStats before = device->ftl().stats();
-
-    std::unique_ptr<check::DeviceAuditor> auditor;
-    if (opts.auditEveryEvents > 0) {
-        check::AuditOptions audit_opts;
-        audit_opts.everyEvents = opts.auditEveryEvents;
-        auditor = std::make_unique<check::DeviceAuditor>(
-            simulator, *device, audit_opts);
-    }
-
-    host::Replayer replayer(simulator, *device);
-
-    std::unique_ptr<obs::DeviceObserver> observer;
-    if (opts.obs.any()) {
-        obs::ObserverOptions obs_opts;
-        obs_opts.metrics = opts.obs.metrics;
-        obs_opts.trace = opts.obs.traceSpans;
-        obs_opts.sampleWindow = opts.obs.sampleWindow;
-        obs_opts.attribution = opts.obs.attribution;
-        obs_opts.eventCore = opts.obs.eventCore;
-        obs_opts.replayStats = &replayer.stats();
-        observer = std::make_unique<obs::DeviceObserver>(
-            simulator, *device, obs_opts);
-    }
-
-    host::ReplayOptions replay_opts;
-    replay_opts.maxRetries = opts.hostMaxRetries;
-    host::StreamReplayResult sres =
-        replayer.replayStream(src, replay_opts);
-
-    CaseResult res;
-    res.scheme = schemeName(kind);
-    res.traceName = src.name();
-    collectDeviceColumns(res, *device, replayer, before);
-
-    // Histogram-estimated tail (the stream keeps no per-record
-    // timestamps); res.replayed stays empty by design.
-    res.p99ResponseMs = sres.responseHistMs.percentileEstimate(99.0);
-
-    collectObsArtifacts(res, observer.get(), opts.obs, src.name());
-    if (auditor) {
-        auditor->runFullAudit();
-        auditor->detach();
-        res.audit = auditor->report();
-    }
-    return res;
+    return runCaseImpl({nullptr, &src, nullptr}, kind, opts);
 }
 
 CaseResult
 resumeCase(const trace::Trace &t, SchemeKind kind,
            const std::string &image, const ExperimentOptions &opts)
 {
-    return runCaseImpl(t, kind, opts, &image);
+    return runCaseImpl({&t, nullptr, &image}, kind, opts);
 }
 
 } // namespace emmcsim::core

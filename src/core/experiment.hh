@@ -222,9 +222,9 @@ CaseResult runCase(const trace::Trace &t, SchemeKind kind,
  * Replay a streaming source on a fresh device of @p kind without
  * materializing the trace (multi-GB inputs replay in bounded memory).
  * Device-side columns and observability artifacts are identical to
- * runCase() on the same records; differences: replayed stays empty,
- * p99ResponseMs is histogram-estimated rather than exact, and
- * opts.spo / opts.snapshotAt must be unset.
+ * runCase() on the same records, SPO injection included; differences:
+ * replayed stays empty, p99ResponseMs is histogram-estimated rather
+ * than exact, and opts.snapshotAt must be unset.
  */
 CaseResult runCaseStream(trace::TraceSource &src, SchemeKind kind,
                          const ExperimentOptions &opts = {});

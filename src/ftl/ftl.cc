@@ -480,6 +480,65 @@ Ftl::load(core::BinReader &r)
     gc_.load(r);
     r.pod(stats_);
     r.pod(lastHostProgram_);
+    if (r.ok() && !loadedStateConsistent())
+        r.fail();
+}
+
+bool
+Ftl::loadedStateConsistent() const
+{
+    const flash::Geometry &geom = array_.geometry();
+    const std::uint32_t planes = geom.planeCount();
+    const std::size_t pools = geom.pools.size();
+
+    // Every mapped entry must name a live unit that stores its lpn; a
+    // slabless block reads as erased, so unitValid() also proves the
+    // target block holds a slab.
+    bool ok = true;
+    map_.forEachOwned([&](flash::Lpn lpn, const MapEntry &e) {
+        if (!ok || !e.mapped())
+            return;
+        const auto plane = static_cast<std::uint32_t>(e.planeLinear);
+        if (plane >= planes || e.pool >= pools) {
+            ok = false;
+            return;
+        }
+        const flash::BlockPool &pool = array_.plane(plane).pool(e.pool);
+        ok = e.ppn.value() < pool.pageCount() &&
+             e.unit < pool.unitsPerPage() &&
+             pool.unitValid(e.ppn, e.unit) &&
+             pool.lpnAt(e.ppn, e.unit) == lpn;
+    });
+    if (!ok)
+        return false;
+
+    // Recovery indexes its winner table with every stored lpn.
+    const std::uint64_t logical = map_.logicalUnits();
+    for (std::uint32_t pl = 0; pl < planes; ++pl) {
+        for (std::size_t k = 0; k < pools; ++k) {
+            const flash::BlockPool &pool = array_.plane(pl).pool(k);
+            for (std::uint32_t b = 0; b < pool.blockCount(); ++b) {
+                const flash::BlockId bid{b};
+                if (!pool.blockHasSlab(bid))
+                    continue;
+                const flash::Ppn first =
+                    units::blockFirstPage(bid, pool.pagesPerBlock());
+                for (std::uint32_t pg = 0; pg < pool.pagesPerBlock();
+                     ++pg) {
+                    for (std::uint32_t u = 0; u < pool.unitsPerPage();
+                         ++u) {
+                        const flash::Lpn lpn = pool.lpnAt(first + pg, u);
+                        if (lpn != flash::kNoLpn &&
+                            (lpn.value() < 0 ||
+                             static_cast<std::uint64_t>(lpn.value()) >=
+                                 logical))
+                            return false;
+                    }
+                }
+            }
+        }
+    }
+    return true;
 }
 
 } // namespace emmcsim::ftl

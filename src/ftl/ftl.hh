@@ -287,10 +287,20 @@ class Ftl
 
     /** @name Snapshot image (core/binio.hh). @{ */
     void save(core::BinWriter &w) const;
+
+    /**
+     * Restore from @p r; the array's pools must already be loaded. An
+     * image is untrusted input, so a map entry outside the geometry or
+     * not pointing at a live unit that holds its lpn, or a stored slab
+     * lpn outside the logical space, marks the reader failed.
+     */
     void load(core::BinReader &r);
     /** @} */
 
   private:
+    /** @return true when map_ and the pools' slabs agree (see load). */
+    bool loadedStateConsistent() const;
+
     /** Fire the audit hook after a mutating operation. */
     void
     notifyAudit() const

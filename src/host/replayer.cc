@@ -16,9 +16,7 @@ constexpr std::uint32_t kSnapshotVersion = 2;
 
 /**
  * Fold a request's address into the device's logical space (traces
- * can address a larger region than one device exports). Shared by the
- * in-memory and streaming paths so their remapping cannot diverge —
- * byte-identity between them depends on it.
+ * can address a larger region than one device exports).
  */
 void
 foldAddress(emmc::IoRequest &req, std::uint64_t logical_units,
@@ -50,13 +48,6 @@ foldAddress(emmc::IoRequest &req, std::uint64_t logical_units,
 
 } // namespace
 
-std::vector<double>
-StreamReplayResult::latencyBoundsMs()
-{
-    return {0.05, 0.1, 0.2,  0.5,  1.0,   2.0,   5.0,   10.0,
-            20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0};
-}
-
 Replayer::Replayer(sim::Simulator &simulator, emmc::EmmcDevice &device)
     : sim_(simulator), device_(device)
 {
@@ -65,7 +56,7 @@ Replayer::Replayer(sim::Simulator &simulator, emmc::EmmcDevice &device)
 trace::Trace
 Replayer::replay(const trace::Trace &input, const ReplayOptions &opts)
 {
-    return run(input, opts, nullptr);
+    return replayTrace(input, opts, nullptr);
 }
 
 trace::Trace
@@ -75,7 +66,285 @@ Replayer::resume(const trace::Trace &input, const std::string &image,
     if (!opts.spo.ticks.empty() || opts.snapshotAt >= 0)
         sim::fatal("resume: SPO injection and re-snapshotting are not "
                    "supported on a resumed replay");
-    return run(input, opts, &image);
+    return replayTrace(input, opts, &image);
+}
+
+StreamReplayResult
+Replayer::replayStream(trace::TraceSource &src, const ReplayOptions &opts)
+{
+    if (opts.snapshotAt >= 0)
+        sim::fatal("stream replay: snapshotting needs per-record "
+                   "timestamps; replay an in-memory trace instead");
+    StreamReplayResult result;
+    foldOut_ = &result;
+    drive(src, opts, nullptr);
+    foldOut_ = nullptr;
+    EMMCSIM_ASSERT(result.requests == nextId_,
+                   "stream replay lost completions");
+    return result;
+}
+
+trace::Trace
+Replayer::replayTrace(const trace::Trace &input, const ReplayOptions &opts,
+                      const std::string *image)
+{
+    // Validate before scheduling anything: a malformed trace (arrivals
+    // out of order, zero-sized or misaligned requests) would fail deep
+    // inside the device with a far less actionable message.
+    std::string problem = input.validate();
+    if (!problem.empty())
+        sim::fatal("replay: invalid input trace: " + problem);
+
+    trace::Trace out = input;
+    trace::MemoryTraceSource src(input);
+    stampOut_ = &out;
+    drive(src, opts, image);
+    stampOut_ = nullptr;
+
+    for (const auto &r : out.records()) {
+        EMMCSIM_ASSERT(r.replayed(),
+                       "replay finished with incomplete requests");
+        EMMCSIM_DCHECK(r.arrival <= r.serviceStart &&
+                           r.serviceStart <= r.finish,
+                       "replayed record has inverted BIOtracer "
+                       "timestamps");
+    }
+    return out;
+}
+
+void
+Replayer::drive(trace::TraceSource &src, const ReplayOptions &opts,
+                const std::string *image)
+{
+    if (!opts.spo.ticks.empty() && opts.snapshotAt >= 0)
+        sim::fatal("replay: SPO injection and snapshotting are "
+                   "mutually exclusive in one replay");
+    if (!std::is_sorted(opts.spo.ticks.begin(), opts.spo.ticks.end()))
+        sim::fatal("replay: SPO ticks must be sorted ascending");
+    if (src.failed())
+        sim::fatal("replay: source failed before the first record: " +
+                   src.error().message());
+
+    stats_ = ReplayStats{};
+    src_ = &src;
+    chunk_.resize(kChunk);
+    nextId_ = 0;
+    chunkLastId_ = 0;
+    // Sized for a deep in-flight window up front; growRing() handles
+    // deeper ones, so this is a latency hint, not a limit.
+    ring_.assign(2 * kChunk, Inflight{});
+    logicalUnits_ = device_.ftl().logicalUnits();
+    wrap_ = opts.wrapAddresses;
+    parked_.clear();
+    spoNotify_ = opts.spo.notify;
+    spoPowerOnDelay_ = opts.spo.powerOnDelay;
+    pendingRetries_ = 0;
+    nextArrival_ = 0;
+    snapshotAt_ = opts.snapshotAt;
+    snapshotDone_ = false;
+    snapshotImage_.clear();
+
+    // Restore the captured clock and bookkeeping before scheduling
+    // anything; the device state itself loads after the first chunk so
+    // re-armed idle-GC ticks are scheduled after the arrivals, as in
+    // the capturing run.
+    core::BinReader reader(image ? std::string_view(*image)
+                                 : std::string_view());
+    if (image) {
+        EMMCSIM_ASSERT(stampOut_ != nullptr,
+                       "resume needs the Trace sink");
+        if (sim_.pending() || sim_.now() != 0)
+            sim::fatal("resume: needs a fresh simulator");
+        if (reader.str() != kSnapshotMagic ||
+            reader.u32() != kSnapshotVersion)
+            sim::fatal("resume: not a snapshot image (or wrong "
+                       "version)");
+        const sim::Time capture_time = reader.i64();
+        nextArrival_ = reader.u64();
+        trace::Trace &out = *stampOut_;
+        if (reader.u64() != out.size())
+            sim::fatal("resume: snapshot was captured for a different "
+                       "trace");
+        for (trace::TraceRecord &r : out.records()) {
+            r.serviceStart = reader.i64();
+            r.finish = reader.i64();
+        }
+        reader.pod(stats_);
+        if (!reader.ok() || nextArrival_ > out.size())
+            sim::fatal("resume: truncated snapshot image");
+        sim_.restoreClock(capture_time);
+
+        // Re-feed the completions the capturing run already delivered
+        // through the device trace hook, so observer-side accumulators
+        // (the latency histograms) converge to the uninterrupted run's
+        // values. The capture point is quiescent: every record before
+        // nextArrival_ has final timestamps.
+        if (device_.traceHook()) {
+            for (std::uint64_t i = 0; i < nextArrival_; ++i) {
+                const trace::TraceRecord &r = out[i];
+                emmc::CompletedRequest c;
+                c.request.id = i;
+                c.request.arrival = r.arrival;
+                c.request.lbaSector = r.lbaSector;
+                c.request.sizeBytes = r.sizeBytes;
+                c.request.write = r.isWrite();
+                c.serviceStart = r.serviceStart;
+                c.finish = r.finish;
+                c.waited = r.serviceStart > r.arrival;
+                device_.traceHook()(c);
+            }
+        }
+
+        // Skip the records the capturing run already submitted; chunk
+        // boundaries then start at nextArrival_, which is harmless:
+        // arrivals sit in the front band, ordered by (tick, record).
+        for (std::uint64_t left = nextArrival_; left > 0;) {
+            const std::size_t n = src.next(
+                chunk_.data(), static_cast<std::size_t>(
+                                   std::min<std::uint64_t>(left, kChunk)));
+            EMMCSIM_ASSERT(n > 0, "resume: source ended early");
+            left -= n;
+        }
+        nextId_ = nextArrival_;
+    }
+
+    device_.setCompletionCallback([this,
+                                   &opts](const emmc::CompletedRequest &c) {
+        const std::uint64_t id = c.request.id;
+        Inflight &rs = entryFor(id);
+        if (rs.firstFinish < 0)
+            rs.firstFinish = c.finish;
+
+        if (c.ok()) {
+            if (rs.attempts > 0) {
+                ++stats_.recoveredRequests;
+                stats_.retryPenalty += c.finish - rs.firstFinish;
+            }
+            finish(rs, c);
+            return;
+        }
+
+        ++stats_.errorCompletions;
+        if (rs.attempts >= opts.maxRetries) {
+            ++stats_.failedRequests;
+            stats_.retryPenalty += c.finish - rs.firstFinish;
+            EMMCSIM_LOG_DEBUG("replay",
+                              "request " + std::to_string(id) +
+                                  " failed permanently after " +
+                                  std::to_string(rs.attempts) +
+                                  " retry attempt(s)");
+            finish(rs, c);
+            return;
+        }
+
+        // Resubmit with exponential backoff, like the block layer
+        // requeueing a failed bio.
+        const std::uint32_t shift = std::min(rs.attempts, 20u);
+        const sim::Time delay = opts.retryBackoff << shift;
+        ++rs.attempts;
+        ++stats_.retriesScheduled;
+        ++pendingRetries_;
+        emmc::IoRequest retry = c.request;
+        retry.arrival = c.finish + delay;
+        EMMCSIM_LOG_DEBUG("replay", "request " + std::to_string(id) +
+                                        " errored; retry " +
+                                        std::to_string(rs.attempts) + "/" +
+                                        std::to_string(opts.maxRetries) +
+                                        " at " +
+                                        std::to_string(retry.arrival) +
+                                        " ns");
+        // Retry closure: {this, IoRequest} = 48 bytes — exactly the
+        // event arena's inline budget. If IoRequest grows, this assert
+        // fires before the hot path regresses to heap-allocating
+        // events.
+        auto resubmit = [this, retry] {
+            --pendingRetries_;
+            submitNow(retry);
+        };
+        static_assert(sim::InlineAction::fits<decltype(resubmit)>(),
+                      "retry capture must stay inline");
+        sim_.schedule(retry.arrival, std::move(resubmit));
+    });
+
+    scheduleNextChunk();
+
+    if (image) {
+        device_.load(reader);
+        if (!reader.ok() || reader.remaining() != 0)
+            sim::fatal("resume: corrupt snapshot image");
+    }
+
+    for (sim::Time tick : opts.spo.ticks) {
+        EMMCSIM_ASSERT(tick > 0, "SPO tick must be positive");
+        sim_.schedule(tick, [this] { spoCut(); });
+    }
+
+    sim::Simulator::HookId hook = 0;
+    if (snapshotAt_ >= 0) {
+        hook = sim_.addPostEventHook(
+            [this](const sim::Simulator &) { maybeCapture(); });
+    }
+
+    sim_.run();
+    device_.setCompletionCallback(nullptr);
+    src_ = nullptr;
+    if (snapshotAt_ >= 0) {
+        sim_.removePostEventHook(hook);
+        if (!snapshotDone_)
+            sim::fatal("replay: no quiescent point reached at or after "
+                       "the requested snapshot tick");
+    }
+    for (const Inflight &e : ring_)
+        EMMCSIM_ASSERT(!e.active,
+                       "replay finished with incomplete requests");
+}
+
+void
+Replayer::scheduleNextChunk()
+{
+    const std::size_t n = src_->next(chunk_.data(), kChunk);
+    if (n == 0) {
+        if (src_->failed())
+            sim::fatal("replay: source failed mid-stream: " +
+                       src_->error().message());
+        return; // clean EOF: the run drains what is already scheduled
+    }
+    chunkLastId_ = nextId_ + n - 1;
+    for (std::size_t i = 0; i < n; ++i) {
+        const trace::TraceRecord &r = chunk_[i];
+
+        emmc::IoRequest req;
+        req.id = nextId_++;
+        req.arrival = r.arrival;
+        req.sizeBytes = r.sizeBytes;
+        req.write = r.isWrite();
+        req.lbaSector = r.lbaSector;
+
+        foldAddress(req, logicalUnits_, wrap_, req.id);
+        track(req.id, r.arrival);
+
+        // The chunk's last arrival pulls the next chunk in: refills
+        // piggyback on an arrival event already being scheduled, so
+        // the event count does not depend on the chunk size. Comparing
+        // against the member instead of capturing a flag keeps the
+        // closure at the 48-byte inline budget ({this, IoRequest}); it
+        // is correct because front-band events pop in schedule order,
+        // so the last arrival of chunk k always runs before any
+        // arrival of chunk k+1 exists.
+        auto submit = [this, req] {
+            ++nextArrival_;
+            submitNow(req);
+            if (req.id == chunkLastId_)
+                scheduleNextChunk();
+        };
+        static_assert(sim::InlineAction::fits<decltype(submit)>(),
+                      "submit capture must stay inline");
+        // Front band: arrivals win every same-tick tie against
+        // completions / GC ticks / SPO cuts, so scheduling them a
+        // chunk at a time orders them exactly as scheduling the whole
+        // trace up front would.
+        sim_.scheduleFront(r.arrival, std::move(submit));
+    }
 }
 
 void
@@ -129,7 +398,7 @@ Replayer::spoPowerUp()
 }
 
 void
-Replayer::maybeCapture(const trace::Trace &out)
+Replayer::maybeCapture()
 {
     if (snapshotDone_ || sim_.now() < snapshotAt_)
         return;
@@ -146,8 +415,8 @@ Replayer::maybeCapture(const trace::Trace &out)
     w.u32(kSnapshotVersion);
     w.i64(sim_.now());
     w.u64(nextArrival_);
-    w.u64(out.size());
-    for (const trace::TraceRecord &r : out.records()) {
+    w.u64(stampOut_->size());
+    for (const trace::TraceRecord &r : stampOut_->records()) {
         w.i64(r.serviceStart);
         w.i64(r.finish);
     }
@@ -162,368 +431,20 @@ Replayer::maybeCapture(const trace::Trace &out)
                       " arrivals in)");
 }
 
-trace::Trace
-Replayer::run(const trace::Trace &input, const ReplayOptions &opts,
-              const std::string *image)
+Replayer::Inflight &
+Replayer::entryFor(std::uint64_t id)
 {
-    // Validate before scheduling anything: a malformed trace (arrivals
-    // out of order, zero-sized or misaligned requests) would fail deep
-    // inside the device with a far less actionable message.
-    std::string problem = input.validate();
-    if (!problem.empty())
-        sim::fatal("replay: invalid input trace: " + problem);
-    if (!opts.spo.ticks.empty() && opts.snapshotAt >= 0)
-        sim::fatal("replay: SPO injection and snapshotting are "
-                   "mutually exclusive in one replay");
-    if (!std::is_sorted(opts.spo.ticks.begin(), opts.spo.ticks.end()))
-        sim::fatal("replay: SPO ticks must be sorted ascending");
-
-    trace::Trace out = input;
-    stats_ = ReplayStats{};
-    parked_.clear();
-    spoNotify_ = opts.spo.notify;
-    spoPowerOnDelay_ = opts.spo.powerOnDelay;
-    pendingRetries_ = 0;
-    nextArrival_ = 0;
-    snapshotAt_ = opts.snapshotAt;
-    snapshotDone_ = false;
-    snapshotImage_.clear();
-
-    const std::uint64_t logical_units = device_.ftl().logicalUnits();
-
-    // Per-request retry bookkeeping: attempts used so far and the
-    // finish time of the first attempt (to price the retry penalty).
-    // One container, sized to the full in-flight population up front,
-    // so nothing reallocates mid-run. A resumed replay starts from
-    // defaults: the capture point had no retry in flight, and records
-    // completed before it are never resubmitted.
-    struct RetryState
-    {
-        std::uint32_t attempts = 0;
-        sim::Time firstFinish = -1;
-    };
-    std::vector<RetryState> inflight(input.size());
-
-    // Restore the captured clock and bookkeeping before scheduling
-    // anything; the device state itself loads after the arrivals so
-    // re-armed idle-GC ticks sort behind same-tick arrivals, exactly
-    // as in the capturing run (arrivals were all scheduled up front
-    // there and so carry smaller sequence numbers).
-    core::BinReader reader(image ? std::string_view(*image)
-                                 : std::string_view());
-    if (image) {
-        if (sim_.pending() || sim_.now() != 0)
-            sim::fatal("resume: needs a fresh simulator");
-        if (reader.str() != kSnapshotMagic ||
-            reader.u32() != kSnapshotVersion)
-            sim::fatal("resume: not a snapshot image (or wrong "
-                       "version)");
-        const sim::Time capture_time = reader.i64();
-        nextArrival_ = reader.u64();
-        if (reader.u64() != out.size())
-            sim::fatal("resume: snapshot was captured for a different "
-                       "trace");
-        for (trace::TraceRecord &r : out.records()) {
-            r.serviceStart = reader.i64();
-            r.finish = reader.i64();
-        }
-        reader.pod(stats_);
-        if (!reader.ok() || nextArrival_ > out.size())
-            sim::fatal("resume: truncated snapshot image");
-        sim_.restoreClock(capture_time);
-
-        // Re-feed the completions the capturing run already delivered
-        // through the device trace hook, so observer-side accumulators
-        // (the latency histograms) converge to the uninterrupted run's
-        // values. The capture point is quiescent: every record before
-        // nextArrival_ has final timestamps.
-        if (device_.traceHook()) {
-            for (std::uint64_t i = 0; i < nextArrival_; ++i) {
-                const trace::TraceRecord &r = out[i];
-                emmc::CompletedRequest c;
-                c.request.id = i;
-                c.request.arrival = r.arrival;
-                c.request.lbaSector = r.lbaSector;
-                c.request.sizeBytes = r.sizeBytes;
-                c.request.write = r.isWrite();
-                c.serviceStart = r.serviceStart;
-                c.finish = r.finish;
-                c.waited = r.serviceStart > r.arrival;
-                device_.traceHook()(c);
-            }
-        }
-    }
-
-    device_.setCompletionCallback(
-        [this, &out, &opts,
-         &inflight](const emmc::CompletedRequest &c) {
-            const std::uint64_t id = c.request.id;
-            trace::TraceRecord &r = out[id];
-            r.serviceStart = c.serviceStart;
-            r.finish = c.finish;
-            RetryState &rs = inflight[id];
-            if (rs.firstFinish < 0)
-                rs.firstFinish = c.finish;
-
-            if (c.ok()) {
-                if (rs.attempts > 0) {
-                    ++stats_.recoveredRequests;
-                    stats_.retryPenalty += c.finish - rs.firstFinish;
-                }
-                return;
-            }
-
-            ++stats_.errorCompletions;
-            if (rs.attempts >= opts.maxRetries) {
-                ++stats_.failedRequests;
-                stats_.retryPenalty += c.finish - rs.firstFinish;
-                EMMCSIM_LOG_DEBUG(
-                    "replay", "request " + std::to_string(id) +
-                                  " failed permanently after " +
-                                  std::to_string(rs.attempts) +
-                                  " retry attempt(s)");
-                return;
-            }
-
-            // Resubmit with exponential backoff, like the block
-            // layer requeueing a failed bio.
-            const std::uint32_t shift = std::min(rs.attempts, 20u);
-            const sim::Time delay = opts.retryBackoff << shift;
-            ++rs.attempts;
-            ++stats_.retriesScheduled;
-            ++pendingRetries_;
-            emmc::IoRequest retry = c.request;
-            retry.arrival = c.finish + delay;
-            EMMCSIM_LOG_DEBUG(
-                "replay", "request " + std::to_string(id) +
-                              " errored; retry " +
-                              std::to_string(rs.attempts) + "/" +
-                              std::to_string(opts.maxRetries) + " at " +
-                              std::to_string(retry.arrival) + " ns");
-            // Retry closure: {this, IoRequest} = 48 bytes — exactly
-            // the event arena's inline budget. If IoRequest grows,
-            // this assert fires before the hot path regresses to
-            // heap-allocating events.
-            auto resubmit = [this, retry] {
-                --pendingRetries_;
-                submitNow(retry);
-            };
-            static_assert(sim::InlineAction::fits<decltype(resubmit)>(),
-                          "retry capture must stay inline");
-            sim_.schedule(retry.arrival, std::move(resubmit));
-        });
-
-    for (std::size_t i = nextArrival_; i < input.size(); ++i) {
-        const trace::TraceRecord &r = input[i];
-
-        emmc::IoRequest req;
-        req.id = i;
-        req.arrival = r.arrival;
-        req.sizeBytes = r.sizeBytes;
-        req.write = r.isWrite();
-        req.lbaSector = r.lbaSector;
-
-        foldAddress(req, logical_units, opts.wrapAddresses, i);
-
-        auto submit = [this, req] {
-            ++nextArrival_;
-            submitNow(req);
-        };
-        static_assert(sim::InlineAction::fits<decltype(submit)>(),
-                      "submit capture must stay inline");
-        // Front band: arrivals win every same-tick tie against
-        // completions / GC ticks, matching the streaming path (which
-        // schedules arrivals mid-run and would otherwise lose them).
-        sim_.scheduleFront(r.arrival, std::move(submit));
-    }
-
-    if (image) {
-        device_.load(reader);
-        if (!reader.ok() || reader.remaining() != 0)
-            sim::fatal("resume: corrupt snapshot image");
-    }
-
-    for (sim::Time tick : opts.spo.ticks) {
-        EMMCSIM_ASSERT(tick > 0, "SPO tick must be positive");
-        sim_.schedule(tick, [this] { spoCut(); });
-    }
-
-    sim::Simulator::HookId hook = 0;
-    if (snapshotAt_ >= 0) {
-        hook = sim_.addPostEventHook(
-            [this, &out](const sim::Simulator &) { maybeCapture(out); });
-    }
-
-    sim_.run();
-    device_.setCompletionCallback(nullptr);
-    if (snapshotAt_ >= 0) {
-        sim_.removePostEventHook(hook);
-        if (!snapshotDone_)
-            sim::fatal("replay: no quiescent point reached at or after "
-                       "the requested snapshot tick");
-    }
-
-    for (const auto &r : out.records()) {
-        EMMCSIM_ASSERT(r.replayed(),
-                       "replay finished with incomplete requests");
-        EMMCSIM_DCHECK(r.arrival <= r.serviceStart &&
-                           r.serviceStart <= r.finish,
-                       "replayed record has inverted BIOtracer "
-                       "timestamps");
-    }
-    return out;
-}
-
-StreamReplayResult
-Replayer::replayStream(trace::TraceSource &src, const ReplayOptions &opts)
-{
-    if (!opts.spo.ticks.empty() || opts.snapshotAt >= 0)
-        sim::fatal("stream replay: SPO injection and snapshotting need "
-                   "the in-memory path");
-    if (src.failed())
-        sim::fatal("stream replay: source failed before the first "
-                   "record: " + src.error().message());
-
-    stats_ = ReplayStats{};
-    parked_.clear();
-    spoNotify_ = false;
-    spoPowerOnDelay_ = 0;
-    pendingRetries_ = 0;
-    nextArrival_ = 0;
-    snapshotAt_ = -1;
-    snapshotDone_ = false;
-    snapshotImage_.clear();
-
-    StreamReplayResult result;
-    streamSrc_ = &src;
-    streamResult_ = &result;
-    streamChunk_.resize(kStreamChunk);
-    streamNextId_ = 0;
-    streamChunkLastId_ = 0;
-    // Sized for a deep in-flight window up front; streamGrowRing()
-    // handles deeper ones, so this is a latency hint, not a limit.
-    streamRing_.assign(2 * kStreamChunk, StreamRetry{});
-    streamLogicalUnits_ = device_.ftl().logicalUnits();
-    streamWrap_ = opts.wrapAddresses;
-
-    device_.setCompletionCallback(
-        [this, &opts](const emmc::CompletedRequest &c) {
-            StreamRetry &rs = streamEntryFor(c.request.id);
-            if (rs.firstFinish < 0)
-                rs.firstFinish = c.finish;
-
-            if (c.ok()) {
-                if (rs.attempts > 0) {
-                    ++stats_.recoveredRequests;
-                    stats_.retryPenalty += c.finish - rs.firstFinish;
-                }
-                streamFinish(rs, c);
-                return;
-            }
-
-            ++stats_.errorCompletions;
-            if (rs.attempts >= opts.maxRetries) {
-                ++stats_.failedRequests;
-                stats_.retryPenalty += c.finish - rs.firstFinish;
-                streamFinish(rs, c);
-                return;
-            }
-
-            // Same resubmission policy as the in-memory path — the
-            // two must stay byte-identical per record sequence.
-            const std::uint32_t shift = std::min(rs.attempts, 20u);
-            const sim::Time delay = opts.retryBackoff << shift;
-            ++rs.attempts;
-            ++stats_.retriesScheduled;
-            ++pendingRetries_;
-            emmc::IoRequest retry = c.request;
-            retry.arrival = c.finish + delay;
-            auto resubmit = [this, retry] {
-                --pendingRetries_;
-                submitNow(retry);
-            };
-            static_assert(sim::InlineAction::fits<decltype(resubmit)>(),
-                          "retry capture must stay inline");
-            sim_.schedule(retry.arrival, std::move(resubmit));
-        });
-
-    scheduleNextChunk();
-    sim_.run();
-    device_.setCompletionCallback(nullptr);
-
-    if (streamSrc_->failed())
-        sim::fatal("stream replay: source failed mid-stream: " +
-                   streamSrc_->error().message());
-    for (const StreamRetry &e : streamRing_)
-        EMMCSIM_ASSERT(!e.active,
-                       "stream replay finished with incomplete requests");
-    EMMCSIM_ASSERT(result.requests == streamNextId_,
-                   "stream replay lost completions");
-    streamSrc_ = nullptr;
-    streamResult_ = nullptr;
-    return result;
-}
-
-void
-Replayer::scheduleNextChunk()
-{
-    const std::size_t n =
-        streamSrc_->next(streamChunk_.data(), kStreamChunk);
-    if (n == 0) {
-        if (streamSrc_->failed())
-            sim::fatal("stream replay: source failed mid-stream: " +
-                       streamSrc_->error().message());
-        return; // clean EOF: the run drains what is already scheduled
-    }
-    streamChunkLastId_ = streamNextId_ + n - 1;
-    for (std::size_t i = 0; i < n; ++i) {
-        const trace::TraceRecord &r = streamChunk_[i];
-
-        emmc::IoRequest req;
-        req.id = streamNextId_++;
-        req.arrival = r.arrival;
-        req.sizeBytes = r.sizeBytes;
-        req.write = r.isWrite();
-        req.lbaSector = r.lbaSector;
-
-        foldAddress(req, streamLogicalUnits_, streamWrap_, req.id);
-        streamInsert(req.id, r.arrival);
-
-        // The chunk's last arrival pulls the next chunk in: refills
-        // piggyback on an arrival event already being scheduled, so
-        // the event count (and thus simulator bookkeeping) matches the
-        // in-memory path exactly. Comparing against the member instead
-        // of capturing a flag keeps the closure at the 48-byte inline
-        // budget ({this, IoRequest}); it is correct because front-band
-        // events pop in schedule order, so the last arrival of chunk k
-        // always runs before any arrival of chunk k+1 exists.
-        auto submit = [this, req] {
-            ++nextArrival_;
-            submitNow(req);
-            if (req.id == streamChunkLastId_)
-                scheduleNextChunk();
-        };
-        static_assert(sim::InlineAction::fits<decltype(submit)>(),
-                      "stream submit capture must stay inline");
-        sim_.scheduleFront(r.arrival, std::move(submit));
-    }
-}
-
-Replayer::StreamRetry &
-Replayer::streamEntryFor(std::uint64_t id)
-{
-    StreamRetry &e = streamRing_[id & (streamRing_.size() - 1)];
-    EMMCSIM_ASSERT(e.active && e.id == id,
-                   "stream retry ring lost a request");
+    Inflight &e = ring_[id & (ring_.size() - 1)];
+    EMMCSIM_ASSERT(e.active && e.id == id, "retry ring lost a request");
     return e;
 }
 
 void
-Replayer::streamInsert(std::uint64_t id, sim::Time arrival)
+Replayer::track(std::uint64_t id, sim::Time arrival)
 {
-    if (streamRing_[id & (streamRing_.size() - 1)].active)
-        streamGrowRing(id);
-    StreamRetry &e = streamRing_[id & (streamRing_.size() - 1)];
+    if (ring_[id & (ring_.size() - 1)].active)
+        growRing(id);
+    Inflight &e = ring_[id & (ring_.size() - 1)];
     e.id = id;
     e.arrival = arrival;
     e.firstFinish = -1;
@@ -532,33 +453,40 @@ Replayer::streamInsert(std::uint64_t id, sim::Time arrival)
 }
 
 void
-Replayer::streamGrowRing(std::uint64_t id)
+Replayer::growRing(std::uint64_t id)
 {
     // Ids are assigned consecutively, so the live set fits in
     // [lo, id]. Any power-of-two size covering that span gives every
     // live id a distinct residue — the rehash below cannot collide.
     std::uint64_t lo = id;
-    for (const StreamRetry &e : streamRing_)
+    for (const Inflight &e : ring_)
         if (e.active)
             lo = std::min(lo, e.id);
-    std::size_t need = streamRing_.size();
-    while (need < id - lo + 2 || need < 2 * streamRing_.size())
+    std::size_t need = ring_.size();
+    while (need < id - lo + 2 || need < 2 * ring_.size())
         need *= 2;
-    std::vector<StreamRetry> bigger(need);
-    for (const StreamRetry &e : streamRing_) {
+    std::vector<Inflight> bigger(need);
+    for (const Inflight &e : ring_) {
         if (!e.active)
             continue;
-        StreamRetry &slot = bigger[e.id & (need - 1)];
-        EMMCSIM_ASSERT(!slot.active, "stream ring rehash collision");
+        Inflight &slot = bigger[e.id & (need - 1)];
+        EMMCSIM_ASSERT(!slot.active, "retry ring rehash collision");
         slot = e;
     }
-    streamRing_.swap(bigger);
+    ring_.swap(bigger);
 }
 
 void
-Replayer::streamFinish(StreamRetry &rs, const emmc::CompletedRequest &c)
+Replayer::finish(Inflight &rs, const emmc::CompletedRequest &c)
 {
-    StreamReplayResult &res = *streamResult_;
+    rs.active = false;
+    if (stampOut_ != nullptr) {
+        trace::TraceRecord &r = (*stampOut_)[c.request.id];
+        r.serviceStart = c.serviceStart;
+        r.finish = c.finish;
+        return;
+    }
+    StreamReplayResult &res = *foldOut_;
     ++res.requests;
     if (c.request.write) {
         ++res.writeRequests;
@@ -566,7 +494,8 @@ Replayer::streamFinish(StreamRetry &rs, const emmc::CompletedRequest &c)
     } else {
         res.readBytes += c.request.sizeBytes;
     }
-    if (res.firstArrival < 0)
+    // Retries and power cuts finish requests out of arrival order.
+    if (res.firstArrival < 0 || rs.arrival < res.firstArrival)
         res.firstArrival = rs.arrival;
     res.lastArrival = std::max(res.lastArrival, rs.arrival);
     res.lastFinish = std::max(res.lastFinish, c.finish);
@@ -574,7 +503,6 @@ Replayer::streamFinish(StreamRetry &rs, const emmc::CompletedRequest &c)
     res.responseMs.add(resp_ms);
     res.responseHistMs.add(resp_ms);
     res.serviceMs.add(sim::toMilliseconds(c.finish - c.serviceStart));
-    rs.active = false;
 }
 
 } // namespace emmcsim::host

@@ -9,6 +9,13 @@
  * the step-2 (service start) and step-3 (finish) times the device
  * reports.
  *
+ * One engine drives every replay (DESIGN.md §15.3): it pulls records
+ * from a trace::TraceSource one chunk at a time, retries failed
+ * requests, and hands each request that finished for good to one of
+ * two completion sinks. replay() and resume() use the Trace sink,
+ * which stamps a copy of an in-memory trace; replayStream() uses the
+ * stream sink, which folds completions into bounded aggregates.
+ *
  * Two robustness extensions ride on the same loop (DESIGN.md §13):
  *
  *  - **Sudden power-off.** ReplayOptions::spo schedules power cuts at
@@ -16,14 +23,15 @@
  *    device queue, and discards the RAM buffer; the replayer parks
  *    every swallowed request plus any arrival landing during the
  *    outage, and re-issues them in submission order once the device
- *    powers back up through FTL recovery.
+ *    powers back up through FTL recovery. Works with either sink.
  *
  *  - **Snapshot / resume.** ReplayOptions::snapshotAt captures the
  *    full mutable simulation state into a binary image at the first
  *    quiescent point (device idle, queue empty, no pending retries)
  *    at or after the requested tick. resume() reconstructs the run in
  *    a fresh simulator/device pair and continues it; the completed
- *    replay is byte-identical to the uninterrupted one.
+ *    replay is byte-identical to the uninterrupted one. The image
+ *    carries per-record timestamps, so it needs the Trace sink.
  */
 
 #ifndef EMMCSIM_HOST_REPLAYER_HH
@@ -111,9 +119,6 @@ struct ReplayStats
  */
 struct StreamReplayResult
 {
-    /** Latency-histogram bucket bounds, in ms (mirrors src/obs). */
-    static std::vector<double> latencyBoundsMs();
-
     std::uint64_t requests = 0;
     std::uint64_t writeRequests = 0;
     units::Bytes readBytes{0};
@@ -126,7 +131,7 @@ struct StreamReplayResult
     /** Service time of the final attempt, ms. */
     sim::OnlineStats serviceMs;
     /** Response-time distribution for tail estimates, ms. */
-    sim::Histogram responseHistMs{latencyBoundsMs()};
+    sim::Histogram responseHistMs{sim::latencyBoundsMs()};
 };
 
 /** Drives one device with one trace. */
@@ -163,20 +168,17 @@ class Replayer
 
     /**
      * Replay a streaming source to completion without materializing
-     * the trace: arrivals are scheduled one chunk at a time (the
-     * chunk's last submit event pulls the next chunk in), so memory
-     * holds one chunk plus the in-flight window regardless of trace
-     * length. Byte-identical device behaviour to replay() on the same
-     * records — both paths schedule arrivals in the front sequence
-     * band, so every same-tick tie resolves the same way.
-     *
-     * SPO injection and snapshotting need the in-memory path and are
-     * rejected (sim::fatal), as is a source that fails mid-stream.
+     * the trace, folding each completion into the returned aggregates.
+     * Memory holds one chunk plus the in-flight window regardless of
+     * trace length; device behaviour is byte-identical to replay() on
+     * the same records, SPO injection included. Snapshotting needs
+     * per-record timestamps and is rejected (sim::fatal), as is a
+     * source that fails mid-stream.
      */
     StreamReplayResult replayStream(trace::TraceSource &src,
                                     const ReplayOptions &opts = {});
 
-    /** Error/retry counters of the most recent replay() call. */
+    /** Error/retry counters of the most recent replay. */
     const ReplayStats &stats() const { return stats_; }
 
     /** @return true once the requested snapshot was captured. */
@@ -186,10 +188,35 @@ class Replayer
     const std::string &snapshotImage() const { return snapshotImage_; }
 
   private:
-    /** Shared body of replay() and resume(). */
-    trace::Trace run(const trace::Trace &input,
-                     const ReplayOptions &opts,
-                     const std::string *image);
+    /** Records pulled from the source per refill. */
+    static constexpr std::size_t kChunk = 4096;
+
+    /** Per-request retry bookkeeping, addressed id mod ring size. */
+    struct Inflight
+    {
+        std::uint64_t id = 0;
+        sim::Time arrival = 0;     ///< original trace arrival
+        sim::Time firstFinish = -1;
+        std::uint32_t attempts = 0;
+        bool active = false;
+    };
+
+    /** Trace-sink wrapper shared by replay() and resume(). */
+    trace::Trace replayTrace(const trace::Trace &input,
+                             const ReplayOptions &opts,
+                             const std::string *image);
+
+    /**
+     * The drive loop behind every entry point: reset, resume from
+     * @p image (Trace sink only; null for a fresh run), schedule the
+     * first chunk of @p src, arm SPO cuts and the snapshot hook, run
+     * the simulator to completion.
+     */
+    void drive(trace::TraceSource &src, const ReplayOptions &opts,
+               const std::string *image);
+
+    /** Pull + schedule the next chunk of arrivals from src_. */
+    void scheduleNextChunk();
 
     /** Submit @p req now, or park it while the device is off. */
     void submitNow(const emmc::IoRequest &req);
@@ -201,53 +228,39 @@ class Replayer
     void spoPowerUp();
 
     /** Post-event hook body: capture once quiescent past snapshotAt_. */
-    void maybeCapture(const trace::Trace &out);
-
-    /** @name Streaming-replay machinery (see replayStream). @{ */
-
-    /** Records pulled from the source per refill. */
-    static constexpr std::size_t kStreamChunk = 4096;
-
-    /** Per-request retry bookkeeping, addressed id mod ring size. */
-    struct StreamRetry
-    {
-        std::uint64_t id = 0;
-        sim::Time arrival = 0;     ///< original trace arrival
-        sim::Time firstFinish = -1;
-        std::uint32_t attempts = 0;
-        bool active = false;
-    };
-
-    /** Pull + schedule the next chunk of arrivals from streamSrc_. */
-    void scheduleNextChunk();
+    void maybeCapture();
 
     /** Ring slot for an in-flight id (asserts it is tracked). */
-    StreamRetry &streamEntryFor(std::uint64_t id);
+    Inflight &entryFor(std::uint64_t id);
 
     /** Track a newly scheduled id; grows the ring if its slot is busy. */
-    void streamInsert(std::uint64_t id, sim::Time arrival);
+    void track(std::uint64_t id, sim::Time arrival);
 
     /** Double the ring until every active id keeps a distinct slot. */
-    void streamGrowRing(std::uint64_t id);
+    void growRing(std::uint64_t id);
 
-    /** Fold a finally-completed request into streamResult_. */
-    void streamFinish(StreamRetry &rs, const emmc::CompletedRequest &c);
-
-    trace::TraceSource *streamSrc_ = nullptr;
-    StreamReplayResult *streamResult_ = nullptr;
-    std::vector<trace::TraceRecord> streamChunk_;
-    std::vector<StreamRetry> streamRing_;
-    std::uint64_t streamNextId_ = 0;
-    std::uint64_t streamChunkLastId_ = 0;
-    std::uint64_t streamLogicalUnits_ = 0;
-    bool streamWrap_ = true;
-    /** @} */
+    /** Hand a request that finished for good to the active sink. */
+    void finish(Inflight &rs, const emmc::CompletedRequest &c);
 
     sim::Simulator &sim_;
     emmc::EmmcDevice &device_;
     ReplayStats stats_;
 
-    /** @name Per-replay orchestration state (reset by run()). @{ */
+    /** @name Completion sinks: exactly one is set during a drive. @{ */
+    /** Trace sink: stamps serviceStart / finish into this trace. */
+    trace::Trace *stampOut_ = nullptr;
+    /** Stream sink: folds each finished request into this result. */
+    StreamReplayResult *foldOut_ = nullptr;
+    /** @} */
+
+    /** @name Per-replay state (reset by drive()). @{ */
+    trace::TraceSource *src_ = nullptr;
+    std::vector<trace::TraceRecord> chunk_;
+    std::vector<Inflight> ring_;
+    std::uint64_t nextId_ = 0;      ///< id of the next record pulled
+    std::uint64_t chunkLastId_ = 0; ///< its last arrival pulls a chunk
+    std::uint64_t logicalUnits_ = 0;
+    bool wrap_ = true;
     std::vector<emmc::IoRequest> parked_; ///< awaiting power-up re-issue
     bool spoNotify_ = false;
     sim::Time spoPowerOnDelay_ = 0;

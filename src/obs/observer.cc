@@ -5,19 +5,6 @@
 
 namespace emmcsim::obs {
 
-namespace {
-
-/** Millisecond latency buckets spanning flash-read to multi-second
- * GC-stall territory (roughly log-spaced, like the paper's CDFs). */
-std::vector<double>
-latencyBoundsMs()
-{
-    return {0.05, 0.1,  0.2,  0.5,   1.0,   2.0,    5.0,    10.0,
-            20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0};
-}
-
-} // namespace
-
 DeviceObserver::DeviceObserver(sim::Simulator &simulator,
                                emmc::EmmcDevice &device,
                                const ObserverOptions &opts)
@@ -31,9 +18,11 @@ DeviceObserver::DeviceObserver(sim::Simulator &simulator,
             registerReplayerMetrics(registry_, *opts_.replayStats,
                                     opts_.prefix);
         responseMsHist_ = &registry_.makeHistogram(
-            opts_.prefix + "emmc.latency.response_ms", latencyBoundsMs());
+            opts_.prefix + "emmc.latency.response_ms",
+            sim::latencyBoundsMs());
         serviceMsHist_ = &registry_.makeHistogram(
-            opts_.prefix + "emmc.latency.service_ms", latencyBoundsMs());
+            opts_.prefix + "emmc.latency.service_ms",
+            sim::latencyBoundsMs());
     }
 
     if (opts_.attribution)

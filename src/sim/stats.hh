@@ -139,6 +139,19 @@ class Histogram
 };
 
 /**
+ * Millisecond latency-histogram bounds spanning flash-read to
+ * multi-second GC-stall territory (roughly log-spaced, like the
+ * paper's CDFs). The one list behind the observer's latency metrics
+ * and the stream replayer's tail estimate.
+ */
+inline std::vector<double>
+latencyBoundsMs()
+{
+    return {0.05, 0.1,  0.2,  0.5,   1.0,   2.0,    5.0,    10.0,
+            20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0};
+}
+
+/**
  * Exact percentile calculator: stores all samples, sorts on demand.
  * Suited to trace-sized data sets (tens of thousands of samples).
  */

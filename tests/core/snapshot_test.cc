@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "core/binio.hh"
 #include "core/experiment.hh"
@@ -58,13 +60,17 @@ expectTracesIdentical(const trace::Trace &a, const trace::Trace &b)
     }
 }
 
-} // namespace
-
-TEST(Snapshot, ResumeIsByteIdenticalToUninterruptedRun)
+/**
+ * Capture a replay of @p t at the first quiescent point at or after
+ * @p at, resume it in a fresh device, and require the result to match
+ * the uninterrupted run: stamped records, derived metrics and the
+ * serialized run report.
+ *
+ * @return Arrivals the capturing run had submitted (from the image).
+ */
+std::uint64_t
+expectResumeMatchesUninterrupted(const trace::Trace &t, sim::Time at)
 {
-    trace::Trace t = genTrace("Messaging", 0.05);
-    ASSERT_GT(t.size(), 0u);
-
     ExperimentOptions opts;
     opts.capacityScale = 1.0 / 64.0;
     opts.obs.metrics = true;
@@ -77,9 +83,9 @@ TEST(Snapshot, ResumeIsByteIdenticalToUninterruptedRun)
     CaseResult full = runCase(t, SchemeKind::HPS, opts);
 
     ExperimentOptions snap_opts = opts;
-    snap_opts.snapshotAt = t.duration() / 3;
+    snap_opts.snapshotAt = at;
     CaseResult captured = runCase(t, SchemeKind::HPS, snap_opts);
-    ASSERT_FALSE(captured.snapshotImage.empty());
+    EXPECT_FALSE(captured.snapshotImage.empty());
 
     // The capture itself is passive: the capturing run's outcome is
     // the uninterrupted one.
@@ -96,6 +102,44 @@ TEST(Snapshot, ResumeIsByteIdenticalToUninterruptedRun)
     // The strongest form: the serialized run report (every counter,
     // gauge, summary and histogram) is byte-identical.
     EXPECT_EQ(reportJson(resumed), reportJson(full));
+
+    // Case header, then the replayer image: magic, version, capture
+    // time, arrivals submitted.
+    BinReader header(captured.snapshotImage);
+    header.str();
+    header.u32();
+    ftl::FtlStats before;
+    header.pod(before);
+    const std::string inner = header.str();
+    BinReader image(inner);
+    image.str();
+    image.u32();
+    image.i64();
+    const std::uint64_t arrivals = image.u64();
+    EXPECT_TRUE(image.ok());
+    return arrivals;
+}
+
+} // namespace
+
+TEST(Snapshot, ResumeIsByteIdenticalToUninterruptedRun)
+{
+    trace::Trace t = genTrace("Messaging", 0.05);
+    ASSERT_GT(t.size(), 0u);
+    expectResumeMatchesUninterrupted(t, t.duration() / 3);
+}
+
+TEST(Snapshot, ResumeMidChunkIsByteIdentical)
+{
+    // Arrivals are pulled a 4096-record chunk at a time. A resumed run
+    // restarts its chunks at the capture's arrival count, so capture
+    // past the first chunk and off a chunk boundary.
+    trace::Trace t = genTrace("Booting", 0.5);
+    ASSERT_GT(t.size(), 2u * 4096u);
+    const std::uint64_t arrivals =
+        expectResumeMatchesUninterrupted(t, t.duration() * 2 / 3);
+    EXPECT_GT(arrivals, 4096u);
+    EXPECT_NE(arrivals % 4096u, 0u);
 }
 
 TEST(Snapshot, ResumePreservesPrefillBaseline)
@@ -181,6 +225,97 @@ TEST(Snapshot, DeviceImageSaveLoadSaveIsByteIdentical)
     EXPECT_TRUE(again.data() == w.data())
         << "save -> load -> save drifted (" << again.data().size()
         << " vs " << w.data().size() << " bytes)";
+}
+
+namespace {
+
+/** HPS device with @p t replayed on it (shared by the loader tests). */
+struct ReplayedDevice
+{
+    sim::Simulator sim;
+    std::unique_ptr<emmc::EmmcDevice> dev;
+
+    explicit ReplayedDevice(const trace::Trace &t)
+        : dev(makeDevice(sim, SchemeKind::HPS))
+    {
+        host::Replayer rep(sim, *dev);
+        rep.replay(t);
+    }
+
+    /** Save the device and load the image into a fresh one. */
+    bool
+    reloads() const
+    {
+        core::BinWriter w;
+        dev->save(w);
+        sim::Simulator s2;
+        auto copy = makeDevice(s2, SchemeKind::HPS);
+        core::BinReader r(w.data());
+        copy->load(r);
+        return r.ok();
+    }
+};
+
+} // namespace
+
+TEST(Snapshot, DeviceLoadRejectsMapEntryOutsideArray)
+{
+    ReplayedDevice d(genTrace("Twitter", 0.05));
+    ASSERT_TRUE(d.reloads());
+
+    // Remap a written lpn to a plane the geometry does not have. The
+    // mapped count is unchanged, so only entry validation can see it;
+    // accepted, the first read of lpn 0 would index past the array.
+    ftl::PageMap &map = d.dev->ftl().mapForTest();
+    flash::Lpn lpn{-1};
+    map.forEachOwned([&lpn](flash::Lpn l, const ftl::MapEntry &e) {
+        if (lpn.value() < 0 && e.mapped())
+            lpn = l;
+    });
+    ASSERT_GE(lpn.value(), 0);
+    ftl::MapEntry e = map.lookup(lpn);
+    e.planeLinear = 99;
+    map.set(lpn, e);
+    EXPECT_FALSE(d.reloads());
+}
+
+TEST(Snapshot, DeviceLoadRejectsStaleMapTarget)
+{
+    ReplayedDevice d(genTrace("Twitter", 0.05));
+
+    // Two lpns pointing at one unit: in range, but the second entry's
+    // target holds a different lpn.
+    ftl::PageMap &map = d.dev->ftl().mapForTest();
+    std::vector<flash::Lpn> mapped;
+    map.forEachOwned([&mapped](flash::Lpn l, const ftl::MapEntry &e) {
+        if (e.mapped() && mapped.size() < 2)
+            mapped.push_back(l);
+    });
+    ASSERT_EQ(mapped.size(), 2u);
+    map.set(mapped[1], map.lookup(mapped[0]));
+    EXPECT_FALSE(d.reloads());
+}
+
+TEST(Snapshot, DeviceLoadRejectsSlabLpnOutsideLogicalSpace)
+{
+    ReplayedDevice d(genTrace("Twitter", 0.05));
+
+    // Plant an out-of-range lpn in an unwritten (invalid) slot of an
+    // open block: every pool counter still agrees, but recovery would
+    // index its winner table with it.
+    flash::FlashArray &array = d.dev->ftl().array();
+    flash::BlockPool &pool = array.plane(0).pool(0);
+    const std::int32_t open = pool.activeBlock();
+    ASSERT_GE(open, 0);
+    const flash::BlockId bid{static_cast<std::uint32_t>(open)};
+    ASSERT_LT(pool.writtenPages(bid), pool.pagesPerBlock());
+    const flash::Ppn ppn =
+        units::blockFirstPage(bid, pool.pagesPerBlock()) +
+        pool.writtenPages(bid);
+    const auto beyond = static_cast<std::int64_t>(
+        d.dev->ftl().logicalUnits() + 5);
+    pool.corruptUnitForTest(ppn, 0, flash::Lpn{beyond}, /*valid=*/false);
+    EXPECT_FALSE(d.reloads());
 }
 
 TEST(Snapshot, GarbageImageIsRejected)

@@ -64,24 +64,47 @@ mixedTrace(std::size_t n)
     return t;
 }
 
-} // namespace
-
-TEST(StreamReplay, MatchesInMemoryReplay)
+/**
+ * Replay @p t on two fresh devices built from @p cfg — once through
+ * replay() and once through replayStream() over a MemoryTraceSource —
+ * and require identical host counters and stream aggregates that agree
+ * exactly with the stamped trace.
+ */
+host::ReplayStats
+expectStreamMatchesTrace(const emmc::EmmcConfig &cfg, const trace::Trace &t,
+                         const host::ReplayOptions &opts = {},
+                         double mean_rel_tol = 0.0)
 {
-    const trace::Trace t = mixedTrace(400);
-
+    auto device = [&cfg](sim::Simulator &s) {
+        return std::make_unique<emmc::EmmcDevice>(
+            s, cfg,
+            std::make_unique<ftl::SinglePoolDistributor>(0, 1, "4PS"));
+    };
     sim::Simulator s1;
-    auto dev1 = tinyDevice(s1);
+    auto dev1 = device(s1);
     host::Replayer rep1(s1, *dev1);
-    const trace::Trace out = rep1.replay(t);
+    const trace::Trace out = rep1.replay(t, opts);
 
     sim::Simulator s2;
-    auto dev2 = tinyDevice(s2);
+    auto dev2 = device(s2);
     host::Replayer rep2(s2, *dev2);
     trace::MemoryTraceSource src(t);
-    const host::StreamReplayResult sres = rep2.replayStream(src);
+    const host::StreamReplayResult sres = rep2.replayStream(src, opts);
 
-    ASSERT_EQ(sres.requests, t.size());
+    const host::ReplayStats &a = rep1.stats();
+    const host::ReplayStats &b = rep2.stats();
+    EXPECT_EQ(b.errorCompletions, a.errorCompletions);
+    EXPECT_EQ(b.retriesScheduled, a.retriesScheduled);
+    EXPECT_EQ(b.recoveredRequests, a.recoveredRequests);
+    EXPECT_EQ(b.failedRequests, a.failedRequests);
+    EXPECT_EQ(b.retryPenalty, a.retryPenalty);
+    EXPECT_EQ(b.spoEvents, a.spoEvents);
+    EXPECT_EQ(b.spoSkipped, a.spoSkipped);
+    EXPECT_EQ(b.reissuedRequests, a.reissuedRequests);
+    EXPECT_EQ(b.deferredSubmissions, a.deferredSubmissions);
+    EXPECT_EQ(b.recoveryTime, a.recoveryTime);
+
+    EXPECT_EQ(sres.requests, t.size());
     EXPECT_EQ(sres.writeRequests, t.writeCount());
     EXPECT_EQ(sres.readBytes + sres.writeBytes, t.totalBytes());
     EXPECT_EQ(sres.writeBytes, t.writtenBytes());
@@ -89,21 +112,76 @@ TEST(StreamReplay, MatchesInMemoryReplay)
     EXPECT_EQ(sres.lastArrival, t[t.size() - 1].arrival);
 
     // Per-record aggregates must agree exactly with the stamped trace:
-    // both paths schedule arrivals in the same sequence band, so the
-    // device sees an identical event order.
+    // one engine drives both, so the device sees an identical event
+    // order and only the completion sink differs.
     sim::Time last_finish = 0;
     sim::OnlineStats resp;
     sim::OnlineStats svc;
+    sim::Histogram hist(sim::latencyBoundsMs());
     for (const auto &r : out.records()) {
         last_finish = std::max(last_finish, r.finish);
         resp.add(sim::toMilliseconds(r.responseTime()));
         svc.add(sim::toMilliseconds(r.serviceTime()));
+        hist.add(sim::toMilliseconds(r.responseTime()));
     }
     EXPECT_EQ(sres.lastFinish, last_finish);
     EXPECT_EQ(sres.responseMs.count(), out.size());
-    EXPECT_DOUBLE_EQ(sres.responseMs.mean(), resp.mean());
-    EXPECT_DOUBLE_EQ(sres.serviceMs.mean(), svc.mean());
+    // Retries and power cuts finish requests out of record order, and
+    // the stream sink folds its Welford means in completion order; the
+    // means then differ by summation rounding alone (@p mean_rel_tol).
+    auto expect_mean = [mean_rel_tol](double got, double want) {
+        if (mean_rel_tol == 0.0)
+            EXPECT_DOUBLE_EQ(got, want);
+        else
+            EXPECT_NEAR(got, want, mean_rel_tol * std::abs(want));
+    };
+    expect_mean(sres.responseMs.mean(), resp.mean());
+    expect_mean(sres.serviceMs.mean(), svc.mean());
     EXPECT_EQ(sres.responseHistMs.total(), out.size());
+    for (std::size_t i = 0; i < hist.bucketCount(); ++i)
+        EXPECT_EQ(sres.responseHistMs.bucketCountAt(i), hist.bucketCountAt(i))
+            << "bucket " << i;
+    return a;
+}
+
+} // namespace
+
+TEST(StreamReplay, MatchesInMemoryReplay)
+{
+    expectStreamMatchesTrace(tinyConfig(), mixedTrace(400));
+}
+
+TEST(StreamReplay, MatchesInMemoryReplayUnderReadFaults)
+{
+    // Reads past the ECC threshold: some recover on a host retry, some
+    // exhaust the budget and fail for good.
+    emmc::EmmcConfig cfg = tinyConfig();
+    cfg.fault.enabled = true;
+    cfg.fault.seed = 11;
+    cfg.fault.baseRber = 2e-3;
+    host::ReplayOptions opts;
+    opts.maxRetries = 2;
+    const host::ReplayStats st =
+        expectStreamMatchesTrace(cfg, mixedTrace(400), opts, 1e-12);
+    EXPECT_GT(st.recoveredRequests, 0u);
+    EXPECT_GT(st.failedRequests, 0u);
+    EXPECT_GT(st.retryPenalty, 0);
+}
+
+TEST(StreamReplay, MatchesInMemoryReplayWithPowerCuts)
+{
+    // One cut inside the 400 us arrival window, a second landing in
+    // the same outage (skipped), a third while the backlog drains.
+    host::ReplayOptions opts;
+    opts.spo.ticks = {sim::microseconds(100), sim::microseconds(101),
+                      sim::milliseconds(5)};
+    opts.spo.powerOnDelay = sim::milliseconds(1);
+    const host::ReplayStats st = expectStreamMatchesTrace(
+        tinyConfig(), mixedTrace(400), opts, 1e-12);
+    EXPECT_EQ(st.spoEvents, 2u);
+    EXPECT_EQ(st.spoSkipped, 1u);
+    EXPECT_GT(st.deferredSubmissions, 0u);
+    EXPECT_GT(st.reissuedRequests, 0u);
 }
 
 TEST(StreamReplay, DeterministicAcrossRuns)
