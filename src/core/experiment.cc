@@ -1,5 +1,6 @@
 #include "core/experiment.hh"
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -266,11 +267,20 @@ runCaseImpl(const CaseInput &in, SchemeKind kind,
             in.image ? replayer.resume(*in.trace, inner, replay_opts)
                      : replayer.replay(*in.trace, replay_opts);
         res.traceName = in.trace->name();
-        // Exact nearest-rank tail from the stamped records.
-        sim::Percentiles resp;
+        // Exact nearest-rank tail from the stamped records, selected
+        // rather than sorted (sim::Percentiles' rank rule).
+        std::vector<sim::Time> resp;
+        resp.reserve(res.replayed.records().size());
         for (const auto &r : res.replayed.records())
-            resp.add(sim::toMilliseconds(r.finish - r.arrival));
-        res.p99ResponseMs = resp.percentile(99.0);
+            resp.push_back(r.finish - r.arrival);
+        if (!resp.empty()) {
+            const std::size_t rank =
+                sim::percentileRank(resp.size(), 99.0);
+            const auto at =
+                resp.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+            std::nth_element(resp.begin(), at, resp.end());
+            res.p99ResponseMs = sim::toMilliseconds(*at);
+        }
     }
     collectDeviceColumns(res, *device, replayer, before);
 

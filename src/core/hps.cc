@@ -20,14 +20,14 @@ HpsDistributor::splitWrite(flash::Lpn first, std::uint32_t n,
         ftl::PageGroup g;
         g.pool = pool8k_;
         g.lpns = {first + done, first + done + 1};
-        out.push_back(std::move(g));
+        out.push_back(g);
         done += 2;
     }
     if (done < n) {
         ftl::PageGroup g;
         g.pool = pool4k_;
         g.lpns = {first + done};
-        out.push_back(std::move(g));
+        out.push_back(g);
     }
 }
 

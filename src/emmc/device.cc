@@ -55,7 +55,7 @@ EmmcDevice::submit(const IoRequest &request)
     if (!waited)
         ++stats_.noWaitRequests;
     stats_.queueDepthAtArrival.add(
-        static_cast<double>(queue_.size() + (busy_ ? 1 : 0)));
+        static_cast<double>(queued() + (busy_ ? 1 : 0)));
 
     queue_.push_back(Queued{request, waited});
     if (!busy_)
@@ -65,7 +65,7 @@ EmmcDevice::submit(const IoRequest &request)
 void
 EmmcDevice::startNext()
 {
-    EMMCSIM_ASSERT(!queue_.empty(), "startNext with empty queue");
+    EMMCSIM_ASSERT(queued() > 0, "startNext with empty queue");
     busy_ = true;
     const sim::Time now = sim_.now();
 
@@ -73,8 +73,8 @@ EmmcDevice::startNext()
     // Scratch containers are members so a long replay reuses their
     // storage instead of reallocating per command.
     scratchHead_.clear();
-    for (const Queued &q : queue_)
-        scratchHead_.push_back(q.request);
+    for (std::size_t i = queueHead_; i < queue_.size(); ++i)
+        scratchHead_.push_back(queue_[i].request);
     std::size_t count = packer_.packCount(scratchHead_);
 
     std::vector<CompletedRequest> cmd = std::move(scratchCmd_);
@@ -82,13 +82,23 @@ EmmcDevice::startNext()
     cmd.reserve(count);
     inflight_.clear();
     for (std::size_t i = 0; i < count; ++i) {
+        const Queued &q = queue_[queueHead_++];
         CompletedRequest c;
-        c.request = queue_.front().request;
-        c.waited = queue_.front().waited;
+        c.request = q.request;
+        c.waited = q.waited;
         c.packed = count > 1;
-        queue_.pop_front();
         inflight_.push_back(c.request);
         cmd.push_back(c);
+    }
+    // Drop the popped head in place: reset when drained, compact once
+    // it is half the vector (amortized O(1) per request).
+    if (queueHead_ == queue_.size()) {
+        queue_.clear();
+        queueHead_ = 0;
+    } else if (2 * queueHead_ >= queue_.size()) {
+        const auto popped = static_cast<std::ptrdiff_t>(queueHead_);
+        queue_.erase(queue_.begin(), queue_.begin() + popped);
+        queueHead_ = 0;
     }
 
     // Wake from low power if the idle gap crossed the threshold. The
@@ -189,8 +199,10 @@ EmmcDevice::serveRead(const IoRequest &r, sim::Time begin,
         done = res.done;
         chargeChain(phases, res.chain, Phase::NandRead);
     } else {
-        std::vector<UnitRun> misses;
-        std::vector<UnitRun> evicted;
+        std::vector<UnitRun> &misses = scratchMisses_;
+        std::vector<UnitRun> &evicted = scratchEvicted_;
+        misses.clear();
+        evicted.clear();
         buffer_.read(first, n, misses, evicted);
         // Attribution: the miss run finishing last carries the chain;
         // if the eviction write-back outlasts every miss, the whole
@@ -252,7 +264,8 @@ EmmcDevice::serveWrite(const IoRequest &r, sim::Time begin,
     } else {
         // Buffered writes land in RAM instantly; any flash time is
         // eviction write-back, charged wholesale as buffer flush.
-        std::vector<UnitRun> evicted;
+        std::vector<UnitRun> &evicted = scratchEvicted_;
+        evicted.clear();
         buffer_.write(first, n, evicted);
         done = flushRuns(evicted, begin, accepted);
         phases.add(Phase::BufferFlush, done - begin);
@@ -321,7 +334,7 @@ EmmcDevice::finishCommand(std::vector<CompletedRequest> done)
     scratchCmd_.clear();
 
     busy_ = false;
-    if (!queue_.empty()) {
+    if (queued() > 0) {
         startNext();
     } else {
         idle_ = true;
@@ -382,10 +395,11 @@ EmmcDevice::powerFail(sim::Time now, std::vector<IoRequest> &dropped)
     for (const IoRequest &r : inflight_)
         dropped.push_back(r);
     inflight_.clear();
-    spoStats_.droppedQueued += queue_.size();
-    for (const Queued &q : queue_)
-        dropped.push_back(q.request);
+    spoStats_.droppedQueued += queued();
+    for (std::size_t i = queueHead_; i < queue_.size(); ++i)
+        dropped.push_back(queue_[i].request);
     queue_.clear();
+    queueHead_ = 0;
 
     // Volatile RAM vanishes with the rail; dirty units in it were
     // acknowledged data the host will not re-send (the durability gap
@@ -449,7 +463,7 @@ EmmcDevice::flushCache(sim::Time now)
 void
 EmmcDevice::save(core::BinWriter &w) const
 {
-    EMMCSIM_ASSERT(!busy_ && queue_.empty() && !hasPendingCompletion_ &&
+    EMMCSIM_ASSERT(!busy_ && queued() == 0 && !hasPendingCompletion_ &&
                        !poweredOff_,
                    "snapshots are quiescent-point only");
     injector_.save(w);
@@ -485,6 +499,7 @@ EmmcDevice::load(core::BinReader &r)
     poweredOff_ = false;
     hasPendingCompletion_ = false;
     queue_.clear();
+    queueHead_ = 0;
     inflight_.clear();
     if (!r.ok())
         return;

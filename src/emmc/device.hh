@@ -18,7 +18,6 @@
 #ifndef EMMCSIM_EMMC_DEVICE_HH
 #define EMMCSIM_EMMC_DEVICE_HH
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -223,7 +222,7 @@ class EmmcDevice
     /** @} */
 
     /** Requests waiting behind the in-flight command. */
-    std::size_t queueDepth() const { return queue_.size(); }
+    std::size_t queueDepth() const { return queued(); }
 
     /**
      * Space utilization: host bytes written / flash bytes consumed for
@@ -318,7 +317,14 @@ class EmmcDevice
         IoRequest request;
         bool waited;
     };
-    std::deque<Queued> queue_;
+    /**
+     * Requests waiting behind the in-flight command, oldest first:
+     * queue_[queueHead_, end). Dispatch advances queueHead_ instead of
+     * erasing, so a warm device queues without allocating.
+     */
+    std::vector<Queued> queue_;
+    std::size_t queueHead_ = 0;
+    std::size_t queued() const { return queue_.size() - queueHead_; }
     bool busy_ = false;
     bool idle_ = true;           ///< device has been idle since last work
     sim::Time gcBusyUntil_ = 0;  ///< idle GC occupies flash until here
@@ -352,7 +358,9 @@ class EmmcDevice
     TraceHook traceHook_;
 
     std::vector<ftl::PageGroup> scratchGroups_;
-    std::deque<IoRequest> scratchHead_;   ///< packCount argument reuse
+    std::vector<UnitRun> scratchMisses_;  ///< RAM-buffer read misses
+    std::vector<UnitRun> scratchEvicted_; ///< RAM-buffer evictions
+    std::vector<IoRequest> scratchHead_;  ///< packCount argument reuse
     std::vector<CompletedRequest> scratchCmd_; ///< command batch reuse
 };
 

@@ -5,7 +5,7 @@
 namespace emmcsim::emmc {
 
 std::size_t
-WritePacker::packCount(const std::deque<IoRequest> &queue)
+WritePacker::packCount(std::span<const IoRequest> queue)
 {
     EMMCSIM_ASSERT(!queue.empty(), "packCount on empty queue");
     if (!cfg_.enabled || !queue.front().write)

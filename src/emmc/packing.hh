@@ -13,7 +13,7 @@
 #define EMMCSIM_EMMC_PACKING_HH
 
 #include <cstdint>
-#include <deque>
+#include <span>
 
 #include "core/binio.hh"
 #include "emmc/request.hh"
@@ -49,10 +49,10 @@ class WritePacker
      * Packs the maximal run of write requests at the head subject to
      * the request/byte caps; a read at the head is never packed.
      *
-     * @param queue Device queue; must be non-empty.
+     * @param queue Device queue, oldest first; must be non-empty.
      * @return Count >= 1 of head requests to dispatch together.
      */
-    std::size_t packCount(const std::deque<IoRequest> &queue);
+    std::size_t packCount(std::span<const IoRequest> queue);
 
     const PackingConfig &config() const { return cfg_; }
     const PackingStats &stats() const { return stats_; }

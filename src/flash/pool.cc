@@ -33,7 +33,7 @@ BlockPool::BlockPool(const PoolConfig &cfg, std::uint32_t pages_per_block)
           std::countr_zero(pages_per_block))),
       pageMask_(pages_per_block - 1u)
 {
-    EMMCSIM_ASSERT(unitsPerPage_ >= 1 && unitsPerPage_ <= 8,
+    EMMCSIM_ASSERT(unitsPerPage_ >= 1 && unitsPerPage_ <= kMaxUnitsPerPage,
                    "units per page out of supported range");
     EMMCSIM_ASSERT(std::has_single_bit(pagesPerBlock_),
                    "pages per block must be a power of two");

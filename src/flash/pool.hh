@@ -51,6 +51,9 @@ using Ppn = units::PageNo;
 /** Block index within one plane-pool. */
 using BlockId = units::BlockId;
 
+/** Largest page, in 4KB units, a pool supports (a 32KB page). */
+inline constexpr std::uint32_t kMaxUnitsPerPage = 8;
+
 /** Page/block state for one pool of one plane. */
 class BlockPool
 {

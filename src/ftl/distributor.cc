@@ -22,10 +22,9 @@ SinglePoolDistributor::splitWrite(flash::Lpn first, std::uint32_t n,
         std::uint32_t take = std::min(unitsPerPage_, n - done);
         PageGroup g;
         g.pool = pool_;
-        g.lpns.reserve(take);
         for (std::uint32_t i = 0; i < take; ++i)
             g.lpns.push_back(first + done + i);
-        out.push_back(std::move(g));
+        out.push_back(g);
         done += take;
     }
 }

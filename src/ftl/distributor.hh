@@ -17,19 +17,69 @@
 #ifndef EMMCSIM_FTL_DISTRIBUTOR_HH
 #define EMMCSIM_FTL_DISTRIBUTOR_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "flash/pool.hh"
+#include "sim/logging.hh"
 
 namespace emmcsim::ftl {
+
+/**
+ * The logical units one physical page stores, held inline: a page
+ * holds at most flash::kMaxUnitsPerPage units, so splitting a request
+ * into page groups allocates nothing. Compares equal to a
+ * std::vector<flash::Lpn> with the same elements.
+ */
+class LpnList
+{
+  public:
+    using const_iterator = const flash::Lpn *;
+
+    static constexpr std::size_t kCapacity = flash::kMaxUnitsPerPage;
+
+    LpnList() = default;
+
+    LpnList(std::initializer_list<flash::Lpn> lpns)
+    {
+        for (flash::Lpn lpn : lpns)
+            push_back(lpn);
+    }
+
+    void
+    push_back(flash::Lpn lpn)
+    {
+        EMMCSIM_ASSERT(size_ < kCapacity, "page group over capacity");
+        items_[size_++] = lpn;
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    flash::Lpn front() const { return items_[0]; }
+    flash::Lpn operator[](std::size_t i) const { return items_[i]; }
+    const flash::Lpn *begin() const { return items_.data(); }
+    const flash::Lpn *end() const { return items_.data() + size_; }
+
+    friend bool
+    operator==(const LpnList &a, const std::vector<flash::Lpn> &b)
+    {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+  private:
+    std::array<flash::Lpn, kCapacity> items_{};
+    std::uint8_t size_ = 0;
+};
 
 /** One physical page program: pool choice + the units it stores. */
 struct PageGroup
 {
     std::uint32_t pool = 0;
-    std::vector<flash::Lpn> lpns;
+    LpnList lpns;
 };
 
 /** Splits write requests into page groups. */

@@ -1,7 +1,7 @@
 #include "ftl/ftl.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -35,7 +35,7 @@ Ftl::Ftl(flash::FlashArray &array, const FtlConfig &cfg)
 }
 
 WriteResult
-Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
+Ftl::writeGroup(std::uint32_t pool, const LpnList &lpns,
                 sim::Time earliest)
 {
     const auto &geom = array_.geometry();
@@ -98,11 +98,10 @@ Ftl::writeGroup(std::uint32_t pool, const std::vector<flash::Lpn> &lpns,
                 geom.pools[k].unitsPerPage();
             WriteResult out{earliest, true, {}};
             for (std::size_t i = 0; i < lpns.size(); i += other_upp) {
-                std::vector<flash::Lpn> chunk(
-                    lpns.begin() + static_cast<std::ptrdiff_t>(i),
-                    lpns.begin() +
-                        static_cast<std::ptrdiff_t>(std::min(
-                            i + other_upp, lpns.size())));
+                LpnList chunk;
+                for (std::size_t j = i; j < lpns.size() && j < i + other_upp;
+                     ++j)
+                    chunk.push_back(lpns[j]);
                 WriteResult w = writeGroup(k, chunk, earliest);
                 // The chunk finishing last is the critical chain; its
                 // breakdown is the group's breakdown (conservation:
@@ -279,13 +278,12 @@ Ftl::readUnits(flash::Lpn start, std::uint32_t n, sim::Time earliest)
     // Time a run of unmapped units: as laid out by the scheme's own
     // write split when a pseudo-read distributor is installed,
     // otherwise as pages of the default pool.
-    std::vector<PageGroup> pseudo_groups;
     auto read_unmapped_run = [&](flash::Lpn run_start,
                                  std::uint32_t run_len) {
         if (pseudoDist_ != nullptr) {
-            pseudo_groups.clear();
-            pseudoDist_->splitWrite(run_start, run_len, pseudo_groups);
-            for (const PageGroup &g : pseudo_groups) {
+            pseudoGroups_.clear();
+            pseudoDist_->splitWrite(run_start, run_len, pseudoGroups_);
+            for (const PageGroup &g : pseudoGroups_) {
                 read_pseudo(g.pool, g.lpns.front(),
                             static_cast<std::uint32_t>(g.lpns.size()));
             }
@@ -302,19 +300,21 @@ Ftl::readUnits(flash::Lpn start, std::uint32_t n, sim::Time earliest)
     };
 
     // Group mapped units by the physical page that holds them;
-    // accumulate unmapped units into maximal runs.
-    struct Group
-    {
-        flash::PageAddr addr;
-        std::uint32_t units = 0;
-    };
-    // The groups are walked below to issue flash reads, so their order
-    // feeds the fault-injector RNG and the request tracer: keep them in
-    // first-touch order and use the hash map for key lookup only.
-    std::vector<Group> groups;
-    std::unordered_map<std::uint64_t, std::size_t> group_index;
-    groups.reserve(n);
-    group_index.reserve(n);
+    // accumulate unmapped units into maximal runs. The groups are
+    // walked below to issue flash reads, so their order feeds the
+    // fault-injector RNG and the request tracer: they stay in
+    // first-touch order, and the index only finds a page's group.
+    std::vector<ReadGroup> &groups = readGroups_;
+    groups.clear();
+    // Open addressing over at least 2n slots (a power of two, so a
+    // probe sequence stays short); only that prefix is cleared.
+    const std::size_t slots =
+        std::bit_ceil(2 * static_cast<std::size_t>(n));
+    if (readIndex_.size() < slots)
+        readIndex_.resize(slots);
+    std::fill_n(readIndex_.begin(), slots, 0u);
+    const int shift = 64 - std::countr_zero(slots);
+    std::size_t last = 0; // group of the previous mapped unit
 
     flash::Lpn run_start{0};
     std::uint32_t run_len = 0;
@@ -332,24 +332,37 @@ Ftl::readUnits(flash::Lpn start, std::uint32_t n, sim::Time earliest)
             run_len = 0;
         }
         const auto plane = static_cast<std::uint32_t>(e.planeLinear);
-        std::uint64_t key = (static_cast<std::uint64_t>(plane) << 40) ^
-                            (static_cast<std::uint64_t>(e.pool) << 36) ^
-                            e.ppn.value();
-        auto [it, fresh] = group_index.try_emplace(key, groups.size());
-        if (fresh) {
-            flash::PageAddr a = flash::addrFromPlaneLinear(geom, plane);
-            a.pool = e.pool;
-            const std::uint32_t eppb = geom.poolPagesPerBlock(e.pool);
-            a.block = units::pageToBlock(e.ppn, eppb).value();
-            a.page = units::pageIndexInBlock(e.ppn, eppb);
-            groups.push_back(Group{a, 0});
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(plane) << 40) ^
+            (static_cast<std::uint64_t>(e.pool) << 36) ^ e.ppn.value();
+        // Consecutive units mostly share a page: try the last group
+        // before the index.
+        if (groups.empty() || groups[last].key != key) {
+            std::size_t slot = (key * 0x9e3779b97f4a7c15ULL) >> shift;
+            while (readIndex_[slot] != 0 &&
+                   groups[readIndex_[slot] - 1].key != key) {
+                slot = (slot + 1) & (slots - 1);
+            }
+            if (readIndex_[slot] == 0) {
+                flash::PageAddr a =
+                    flash::addrFromPlaneLinear(geom, plane);
+                a.pool = e.pool;
+                const std::uint32_t eppb =
+                    geom.poolPagesPerBlock(e.pool);
+                a.block = units::pageToBlock(e.ppn, eppb).value();
+                a.page = units::pageIndexInBlock(e.ppn, eppb);
+                groups.push_back(ReadGroup{a, key, 0});
+                readIndex_[slot] =
+                    static_cast<std::uint32_t>(groups.size());
+            }
+            last = readIndex_[slot] - 1;
         }
-        ++groups[it->second].units;
+        ++groups[last].units;
     }
     if (run_len > 0)
         read_unmapped_run(run_start, run_len);
 
-    for (const Group &g : groups) {
+    for (const ReadGroup &g : groups) {
         const units::Bytes bytes = units::unitsToBytes(g.units);
         flash::OpResult res = array_.read(g.addr, earliest, bytes);
         if (res.status == flash::OpStatus::Uncorrectable)
@@ -363,8 +376,7 @@ Ftl::readUnits(flash::Lpn start, std::uint32_t n, sim::Time earliest)
 }
 
 bool
-Ftl::installGroup(std::uint32_t pool,
-                  const std::vector<flash::Lpn> &lpns)
+Ftl::installGroup(std::uint32_t pool, const LpnList &lpns)
 {
     const auto &geom = array_.geometry();
     EMMCSIM_ASSERT(pool < geom.pools.size(), "installGroup pool range");

@@ -157,8 +157,7 @@ class Ftl
      * @return Completion time (after any blocking GC) and whether the
      *         data landed.
      */
-    WriteResult writeGroup(std::uint32_t pool,
-                           const std::vector<flash::Lpn> &lpns,
+    WriteResult writeGroup(std::uint32_t pool, const LpnList &lpns,
                            sim::Time earliest);
 
     /**
@@ -202,8 +201,7 @@ class Ftl
      *         (the caller may skip this group; an aged device's full
      *         region simply stays full).
      */
-    bool installGroup(std::uint32_t pool,
-                      const std::vector<flash::Lpn> &lpns);
+    bool installGroup(std::uint32_t pool, const LpnList &lpns);
 
     /**
      * Run idle garbage collection until @p deadline or until every
@@ -341,6 +339,22 @@ class Ftl
         sim::Time done = 0;
     };
     LastHostProgram lastHostProgram_;
+
+    /**
+     * readUnits scratch, reused across calls so a warm read path does
+     * not allocate: the call's page groups in first-touch order, an
+     * open-addressing index from page key to group (a slot holds the
+     * group's position + 1; 0 is empty), and the pseudo-read split.
+     */
+    struct ReadGroup
+    {
+        flash::PageAddr addr;
+        std::uint64_t key = 0;
+        std::uint32_t units = 0;
+    };
+    std::vector<ReadGroup> readGroups_;
+    std::vector<std::uint32_t> readIndex_;
+    std::vector<PageGroup> pseudoGroups_;
 };
 
 } // namespace emmcsim::ftl

@@ -69,15 +69,9 @@ GarbageCollector::pickVictim(const flash::BlockPool &pool) const
 
 sim::Time
 GarbageCollector::collectOne(std::uint32_t plane_linear, std::uint32_t pool,
-                             sim::Time earliest)
+                             flash::BlockId vb, sim::Time earliest)
 {
     auto &bp = array_.plane(plane_linear).pool(pool);
-    std::int32_t victim = pickVictim(bp);
-    if (victim < 0) {
-        sim::fatal("GC cannot find a victim block: device is full of "
-                   "valid data (raise over-provisioning)");
-    }
-    const flash::BlockId vb{static_cast<std::uint32_t>(victim)};
     const std::uint32_t ppb = bp.pagesPerBlock();
     const std::uint32_t upp = bp.unitsPerPage();
 
@@ -86,13 +80,8 @@ GarbageCollector::collectOne(std::uint32_t plane_linear, std::uint32_t pool,
     base.pool = pool;
 
     // Gather the victim's live units, reading each source page once.
-    struct LiveUnit
-    {
-        flash::Lpn lpn;
-        flash::Ppn srcPpn;
-        std::uint32_t srcUnit;
-    };
-    std::vector<LiveUnit> live;
+    std::vector<LiveUnit> &live = live_;
+    live.clear();
     sim::Time t = earliest;
     for (std::uint32_t pg = 0; pg < ppb; ++pg) {
         flash::Ppn ppn = units::blockFirstPage(vb, ppb) + pg;
@@ -226,14 +215,17 @@ GarbageCollector::ensureFreePage(std::uint32_t plane_linear,
         // Erase failures can shrink the pool until nothing reclaimable
         // remains; stop rebuilding the reserve then and let callers
         // dig into what is left (graceful degradation, not a panic).
-        if (pickVictim(bp) < 0)
+        const std::int32_t victim = pickVictim(bp);
+        if (victim < 0)
             break;
         EMMCSIM_ASSERT(rounds++ <= 2 * bp.blockCount(),
                        "blocking GC is not making progress (plane " +
                            std::to_string(plane_linear) + ", pool " +
                            std::to_string(pool) + ", free " +
                            std::to_string(bp.freeBlockCount()) + ")");
-        sim::Time done = collectOne(plane_linear, pool, t);
+        sim::Time done = collectOne(
+            plane_linear, pool,
+            flash::BlockId{static_cast<std::uint32_t>(victim)}, t);
         stats_.blockingTime += done - t;
         ++stats_.blockingRounds;
         t = done;
@@ -259,7 +251,8 @@ GarbageCollector::canReclaim(std::uint32_t plane_linear,
 bool
 GarbageCollector::findNeedyPool(double min_invalid,
                                 std::uint32_t &plane_out,
-                                std::uint32_t &pool_out) const
+                                std::uint32_t &pool_out,
+                                flash::BlockId &victim_out) const
 {
     const auto &geom = array_.geometry();
     std::uint32_t best_free = std::numeric_limits<std::uint32_t>::max();
@@ -286,6 +279,8 @@ GarbageCollector::findNeedyPool(double min_invalid,
             best_free = fr;
             plane_out = p;
             pool_out = k;
+            victim_out =
+                flash::BlockId{static_cast<std::uint32_t>(victim)};
             found = true;
         }
     }
@@ -298,10 +293,11 @@ GarbageCollector::idleRound(sim::Time earliest, bool &did_work)
     did_work = false;
     std::uint32_t plane = 0;
     std::uint32_t pool = 0;
-    if (!findNeedyPool(cfg_.idleMinInvalidFraction, plane, pool))
+    flash::BlockId victim{0};
+    if (!findNeedyPool(cfg_.idleMinInvalidFraction, plane, pool, victim))
         return earliest;
 
-    sim::Time done = collectOne(plane, pool, earliest);
+    sim::Time done = collectOne(plane, pool, victim, earliest);
     stats_.idleTime += done - earliest;
     ++stats_.idleRounds;
     did_work = true;
@@ -424,14 +420,12 @@ GarbageCollector::idleStep(sim::Time earliest, bool &did_work)
     }
     std::uint32_t plane = 0;
     std::uint32_t pool = 0;
-    if (!findNeedyPool(cfg_.idleMinInvalidFraction, plane, pool))
+    flash::BlockId victim{0};
+    if (!findNeedyPool(cfg_.idleMinInvalidFraction, plane, pool, victim))
         return earliest;
 
-    std::int32_t victim = pickVictim(array_.plane(plane).pool(pool));
-    EMMCSIM_ASSERT(victim >= 0, "needy pool without victim");
-    sim::Time done = relocateSome(
-        plane, pool, flash::BlockId{static_cast<std::uint32_t>(victim)},
-        cfg_.idleStepPages, earliest);
+    sim::Time done =
+        relocateSome(plane, pool, victim, cfg_.idleStepPages, earliest);
     if (done == earliest)
         return earliest;
     stats_.idleTime += done - earliest;

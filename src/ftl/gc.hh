@@ -14,6 +14,7 @@
 #define EMMCSIM_FTL_GC_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "flash/array.hh"
 #include "ftl/badblock.hh"
@@ -152,21 +153,24 @@ class GarbageCollector
     std::int32_t pickVictim(const flash::BlockPool &pool) const;
 
     /**
-     * Collect one block in (plane, pool): relocate live units within
-     * the plane using copyback, then erase the victim.
+     * Collect block @p victim (pickVictim's choice) in (plane, pool):
+     * relocate live units within the plane using copyback, then erase
+     * the victim.
      * @return Completion time of the erase.
      */
     sim::Time collectOne(std::uint32_t plane_linear, std::uint32_t pool,
-                         sim::Time earliest);
+                         flash::BlockId victim, sim::Time earliest);
 
     /**
      * Find the neediest plane-pool below the soft watermark with an
      * eligible victim.
      * @param min_invalid Minimum invalid fraction a victim must have.
-     * @retval true when @p plane_out / @p pool_out were set.
+     * @retval true when @p plane_out / @p pool_out and that pool's
+     *         pickVictim choice @p victim_out were set.
      */
     bool findNeedyPool(double min_invalid, std::uint32_t &plane_out,
-                       std::uint32_t &pool_out) const;
+                       std::uint32_t &pool_out,
+                       flash::BlockId &victim_out) const;
 
     /**
      * Relocate up to @p max_pages valid pages from @p victim of the
@@ -214,6 +218,16 @@ class GarbageCollector
     BadBlockManager &bbm_;
     MetaJournal &journal_;
     GcStats stats_;
+
+    /** A live unit collectOne moves out of its victim. */
+    struct LiveUnit
+    {
+        flash::Lpn lpn;
+        flash::Ppn srcPpn;
+        std::uint32_t srcUnit;
+    };
+    /** collectOne scratch, reused across rounds. */
+    std::vector<LiveUnit> live_;
 };
 
 } // namespace emmcsim::ftl

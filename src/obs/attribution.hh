@@ -5,13 +5,15 @@
  *
  * Every completed request carries a PhaseLedger (emmc/phases.hh) whose
  * entries sum exactly to finish - arrival. The AttributionRecorder
- * stores one compact record per request (opt-in: it only exists when
- * --attribution is on, so the default path allocates nothing), and
- * summarize() folds them into the AttributionSummary consumed by the
- * report writer and by `emmcsim_cli explain`:
+ * stores each request's ledger and response time as one entry per
+ * column (opt-in: it only exists when --attribution is on, so the
+ * default path allocates nothing), and summarize() folds them into
+ * the AttributionSummary consumed by the report writer and by
+ * `emmcsim_cli explain`:
  *
  *  - per-phase distribution stats (hits, total/mean/max, exact
- *    p50/p95/p99/p99.9) across all requests;
+ *    p50/p95/p99/p99.9, selected rather than sorted) across all
+ *    requests;
  *  - tail slices: for each response-time quantile, the mean phase
  *    decomposition of the requests at or above it — "what p99
  *    requests spend their time on";
@@ -23,8 +25,10 @@
 #ifndef EMMCSIM_OBS_ATTRIBUTION_HH
 #define EMMCSIM_OBS_ATTRIBUTION_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "emmc/phases.hh"
@@ -101,9 +105,9 @@ struct AttributionSummary
 };
 
 /**
- * Records one compact ledger per completed request and folds them into
- * an AttributionSummary. Only constructed in attribution mode, so the
- * per-request push_back cost never touches the default path.
+ * Records one ledger per completed request and folds them into an
+ * AttributionSummary. Only constructed in attribution mode, so the
+ * per-request recording cost never touches the default path.
  */
 class AttributionRecorder
 {
@@ -119,23 +123,61 @@ class AttributionRecorder
                     const emmc::SpoStats &spo);
 
     /** Number of recorded requests. */
-    std::size_t count() const { return recs_.size(); }
+    std::size_t count() const { return count_; }
 
     /** Aggregate everything recorded so far. */
     AttributionSummary summarize() const;
 
   private:
-    struct Rec
+    /** Who a request was, for the slowest-K list. */
+    struct Meta
     {
         std::uint64_t id;
         sim::Time arrival;
-        sim::Time response; ///< finish - arrival (== ledger total)
-        std::array<sim::Time, emmc::kPhaseCount> ns;
         bool write;
     };
 
+    /** One column per phase, then the response (finish - arrival). */
+    static constexpr std::size_t kResponseCol = emmc::kPhaseCount;
+    static constexpr std::size_t kColumns = emmc::kPhaseCount + 1;
+    static constexpr std::size_t kChunkShift = 12;
+    static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
+
+    /**
+     * kChunkSize requests, stored by column. A chunk is allocated once
+     * and never moves, so recording a request copies nothing already
+     * stored, and summarize() scans each column in contiguous runs.
+     */
+    struct Chunk
+    {
+        std::array<std::array<sim::Time, kChunkSize>, kColumns> cols;
+        std::array<Meta, kChunkSize> meta;
+    };
+
+    /** Value of column @p c for request @p i. */
+    sim::Time
+    at(std::size_t c, std::size_t i) const
+    {
+        return chunks_[i >> kChunkShift]->cols[c][i & (kChunkSize - 1)];
+    }
+
+    /** Call @p f with each value of column @p c, in request order. */
+    template <typename F>
+    void
+    forEach(std::size_t c, F &&f) const
+    {
+        for (std::size_t k = 0; k < chunks_.size(); ++k) {
+            const std::size_t len =
+                std::min(kChunkSize, count_ - (k << kChunkShift));
+            const sim::Time *v = chunks_[k]->cols[c].data();
+            for (std::size_t i = 0; i < len; ++i)
+                f(v[i]);
+        }
+    }
+
     std::size_t slowestK_;
-    std::vector<Rec> recs_;
+    std::size_t count_ = 0;
+    std::vector<std::unique_ptr<Chunk>> chunks_;
     std::uint64_t ledgerViolations_ = 0;
     MountSummary mount_;
 };

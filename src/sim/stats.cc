@@ -193,15 +193,16 @@ Percentiles::percentile(double p) const
         std::sort(values_.begin(), values_.end());
         sorted_ = true;
     }
-    if (p <= 0.0)
-        return values_.front();
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(values_.size())));
-    if (rank == 0)
-        rank = 1;
-    if (rank > values_.size())
-        rank = values_.size();
-    return values_[rank - 1];
+    return values_[percentileRank(values_.size(), p) - 1];
+}
+
+std::size_t
+percentileRank(std::size_t n, double p)
+{
+    EMMCSIM_ASSERT(n > 0, "percentile rank of an empty sample");
+    auto rank = static_cast<std::size_t>(
+        std::ceil(p / 100.0 * static_cast<double>(n)));
+    return std::clamp<std::size_t>(rank, 1, n);
 }
 
 std::string

