@@ -13,7 +13,7 @@ clang-tidy check for us:
                        / multimap / set / multiset / list /
                        forward_list / deque / priority_queue /
                        unordered_*) in src/sim.  The event queue is
-                       flat vectors (arena, 4-ary heap, drain run)
+                       flat vectors (arena, 4-ary heap)
                        precisely to avoid per-node allocation and
                        pointer chasing; a node-based container
                        smuggles both back in.
@@ -172,12 +172,11 @@ ALLOC_PATTERNS = [
     (re.compile(r"\bstd::function\b"), "std::function"),
 ]
 
-# The event core is flat vectors by design (arena + 4-ary heap + sorted
-# drain run over contiguous storage, DESIGN.md §11). Node-based and
-# adapter containers reintroduce the per-event allocation and
-# pointer-chasing the queue exists to avoid; std::deque is included
-# because its chunk map defeats the prefetcher the drain run relies
-# on.
+# The event core is flat vectors by design (arena + 4-ary heap over
+# contiguous storage, DESIGN.md §11). Node-based and adapter
+# containers reintroduce the per-event allocation and pointer-chasing
+# the queue exists to avoid; std::deque is included because its chunk
+# map defeats the hardware prefetcher that contiguous storage enjoys.
 NODE_CONTAINER = re.compile(
     r"\bstd::(map|multimap|set|multiset|list|forward_list|deque|"
     r"priority_queue|unordered_map|unordered_multimap|unordered_set|"
@@ -253,8 +252,7 @@ def lint_text(path: str, raw: str, scope_event_path: bool,
                 add("event-path-container", lineno,
                     f"std::{m.group(1)} in the simulator event path: "
                     f"the event core is flat storage (arena, 4-ary "
-                    f"heap, drain run); use a vector-backed "
-                    f"structure instead")
+                    f"heap); use a vector-backed structure instead")
 
     # wall-clock -----------------------------------------------------------
     for lineno, line in enumerate(code_lines, 1):

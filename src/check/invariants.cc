@@ -273,15 +273,13 @@ checkEventQueue(const sim::Simulator &simulator, CheckContext &ctx)
     ctx.check(q.arenaSlots() <= q.scheduledCount(),
               "event arena: more slots than events ever scheduled");
 
-    // Pending coverage: every live event holds exactly one pending
-    // entry in the heap or the staged sorted run, and the only extra
-    // entries are the lazily deleted dead ones. (auditInvariants
-    // walks both entry by entry; this is the cheap closed-form
-    // cross-check over the public counters.)
-    ctx.check(q.heapEntries() + q.stagedRunEntries() ==
-                  q.size() + q.deadHeapEntries(),
-              "event queue: heap + run occupancy does not cover live + "
-              "dead entries");
+    // Heap coverage: every live event holds exactly one heap entry,
+    // and the only extra entries are the lazily deleted dead ones.
+    // (auditInvariants walks the heap entry by entry; this is the
+    // cheap closed-form cross-check over the public counters.)
+    ctx.check(q.heapEntries() == q.size() + q.deadHeapEntries(),
+              "event queue: heap occupancy does not cover live + dead "
+              "entries");
 }
 
 void

@@ -479,7 +479,14 @@ Ftl::save(core::BinWriter &w) const
     journal_.save(w);
     gc_.save(w);
     w.pod(stats_);
-    w.pod(lastHostProgram_);
+    // Field by field: a w.pod of the struct would copy its padding
+    // bytes, and with them whatever the heap held there.
+    const LastHostProgram &lp = lastHostProgram_;
+    w.b(lp.valid);
+    w.u32(lp.planeLinear);
+    w.u32(lp.pool);
+    w.u64(lp.ppn.value());
+    w.i64(lp.done);
 }
 
 void
@@ -491,7 +498,15 @@ Ftl::load(core::BinReader &r)
     journal_.load(r);
     gc_.load(r);
     r.pod(stats_);
-    r.pod(lastHostProgram_);
+    LastHostProgram &lp = lastHostProgram_;
+    const std::uint8_t valid = r.u8();
+    if (valid > 1)
+        r.fail();
+    lp.valid = valid == 1;
+    lp.planeLinear = r.u32();
+    lp.pool = r.u32();
+    lp.ppn = flash::Ppn{r.u64()};
+    lp.done = r.i64();
     if (r.ok() && !loadedStateConsistent())
         r.fail();
 }

@@ -12,7 +12,7 @@ namespace {
 
 /** Snapshot-image identification (bumped on any layout change). */
 const char kSnapshotMagic[] = "emmcsim-snap";
-constexpr std::uint32_t kSnapshotVersion = 2;
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 /**
  * Fold a request's address into the device's logical space (traces
@@ -128,8 +128,9 @@ Replayer::drive(trace::TraceSource &src, const ReplayOptions &opts,
     stats_ = ReplayStats{};
     src_ = &src;
     chunk_.resize(kChunk);
+    chunkPos_ = 0;
+    chunkLen_ = 0;
     nextId_ = 0;
-    chunkLastId_ = 0;
     // Sized for a deep in-flight window up front; growRing() handles
     // deeper ones, so this is a latency hint, not a limit.
     ring_.assign(2 * kChunk, Inflight{});
@@ -145,9 +146,9 @@ Replayer::drive(trace::TraceSource &src, const ReplayOptions &opts,
     snapshotImage_.clear();
 
     // Restore the captured clock and bookkeeping before scheduling
-    // anything; the device state itself loads after the first chunk so
-    // re-armed idle-GC ticks are scheduled after the arrivals, as in
-    // the capturing run.
+    // anything; the device state itself loads after the first arrival
+    // is scheduled, so re-armed idle-GC ticks come after it, as in the
+    // capturing run.
     core::BinReader reader(image ? std::string_view(*image)
                                  : std::string_view());
     if (image) {
@@ -195,9 +196,9 @@ Replayer::drive(trace::TraceSource &src, const ReplayOptions &opts,
             }
         }
 
-        // Skip the records the capturing run already submitted; chunk
-        // boundaries then start at nextArrival_, which is harmless:
-        // arrivals sit in the front band, ordered by (tick, record).
+        // Skip the records the capturing run already submitted; read
+        // chunks then start at nextArrival_, which is harmless: the
+        // cursor hands out records in order whatever the chunking.
         for (std::uint64_t left = nextArrival_; left > 0;) {
             const std::size_t n = src.next(
                 chunk_.data(), static_cast<std::size_t>(
@@ -266,7 +267,7 @@ Replayer::drive(trace::TraceSource &src, const ReplayOptions &opts,
         sim_.schedule(retry.arrival, std::move(resubmit));
     });
 
-    scheduleNextChunk();
+    scheduleNextArrival();
 
     if (image) {
         device_.load(reader);
@@ -300,51 +301,45 @@ Replayer::drive(trace::TraceSource &src, const ReplayOptions &opts,
 }
 
 void
-Replayer::scheduleNextChunk()
+Replayer::scheduleNextArrival()
 {
-    const std::size_t n = src_->next(chunk_.data(), kChunk);
-    if (n == 0) {
-        if (src_->failed())
-            sim::fatal("replay: source failed mid-stream: " +
-                       src_->error().message());
-        return; // clean EOF: the run drains what is already scheduled
+    if (chunkPos_ == chunkLen_) {
+        chunkLen_ = src_->next(chunk_.data(), kChunk);
+        chunkPos_ = 0;
+        if (chunkLen_ == 0) {
+            if (src_->failed())
+                sim::fatal("replay: source failed mid-stream: " +
+                           src_->error().message());
+            return; // clean EOF: the run drains what is in flight
+        }
     }
-    chunkLastId_ = nextId_ + n - 1;
-    for (std::size_t i = 0; i < n; ++i) {
-        const trace::TraceRecord &r = chunk_[i];
+    const trace::TraceRecord &r = chunk_[chunkPos_++];
 
-        emmc::IoRequest req;
-        req.id = nextId_++;
-        req.arrival = r.arrival;
-        req.sizeBytes = r.sizeBytes;
-        req.write = r.isWrite();
-        req.lbaSector = r.lbaSector;
+    emmc::IoRequest req;
+    req.id = nextId_++;
+    req.arrival = r.arrival;
+    req.sizeBytes = r.sizeBytes;
+    req.write = r.isWrite();
+    req.lbaSector = r.lbaSector;
 
-        foldAddress(req, logicalUnits_, wrap_, req.id);
-        track(req.id, r.arrival);
+    foldAddress(req, logicalUnits_, wrap_, req.id);
+    track(req.id, r.arrival);
 
-        // The chunk's last arrival pulls the next chunk in: refills
-        // piggyback on an arrival event already being scheduled, so
-        // the event count does not depend on the chunk size. Comparing
-        // against the member instead of capturing a flag keeps the
-        // closure at the 48-byte inline budget ({this, IoRequest}); it
-        // is correct because front-band events pop in schedule order,
-        // so the last arrival of chunk k always runs before any
-        // arrival of chunk k+1 exists.
-        auto submit = [this, req] {
-            ++nextArrival_;
-            submitNow(req);
-            if (req.id == chunkLastId_)
-                scheduleNextChunk();
-        };
-        static_assert(sim::InlineAction::fits<decltype(submit)>(),
-                      "submit capture must stay inline");
-        // Front band: arrivals win every same-tick tie against
-        // completions / GC ticks / SPO cuts, so scheduling them a
-        // chunk at a time orders them exactly as scheduling the whole
-        // trace up front would.
-        sim_.scheduleFront(r.arrival, std::move(submit));
-    }
+    // Each arrival schedules its successor, so exactly one arrival is
+    // pending and the event heap stays as small as the in-flight
+    // window, whatever the trace length.
+    auto submit = [this, req] {
+        ++nextArrival_;
+        submitNow(req);
+        scheduleNextArrival();
+    };
+    static_assert(sim::InlineAction::fits<decltype(submit)>(),
+                  "submit capture must stay inline");
+    // Front band: an arrival wins every same-tick tie against
+    // completions / GC ticks / retries / SPO cuts, and arrivals fire in
+    // record order, so scheduling them one at a time orders events
+    // exactly as scheduling the whole trace up front would.
+    sim_.scheduleFront(r.arrival, std::move(submit));
 }
 
 void

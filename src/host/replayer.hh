@@ -9,12 +9,13 @@
  * the step-2 (service start) and step-3 (finish) times the device
  * reports.
  *
- * One engine drives every replay (DESIGN.md §15.3): it pulls records
- * from a trace::TraceSource one chunk at a time, retries failed
- * requests, and hands each request that finished for good to one of
- * two completion sinks. replay() and resume() use the Trace sink,
- * which stamps a copy of an in-memory trace; replayStream() uses the
- * stream sink, which folds completions into bounded aggregates.
+ * One engine drives every replay (DESIGN.md §15.3): it reads records
+ * from a trace::TraceSource one chunk at a time but keeps exactly one
+ * arrival scheduled, retries failed requests, and hands each request
+ * that finished for good to one of two completion sinks. replay()
+ * and resume() use the Trace sink, which stamps a copy of an
+ * in-memory trace; replayStream() uses the stream sink, which folds
+ * completions into bounded aggregates.
  *
  * Two robustness extensions ride on the same loop (DESIGN.md §13):
  *
@@ -138,6 +139,9 @@ struct StreamReplayResult
 class Replayer
 {
   public:
+    /** Records read from the source per refill of the read buffer. */
+    static constexpr std::size_t kChunk = 4096;
+
     /**
      * @param simulator The event loop (shared with the device).
      * @param device    Target device; its completion callback is taken
@@ -169,8 +173,8 @@ class Replayer
     /**
      * Replay a streaming source to completion without materializing
      * the trace, folding each completion into the returned aggregates.
-     * Memory holds one chunk plus the in-flight window regardless of
-     * trace length; device behaviour is byte-identical to replay() on
+     * Memory holds one read chunk plus the in-flight window regardless
+     * of trace length; device behaviour is byte-identical to replay() on
      * the same records, SPO injection included. Snapshotting needs
      * per-record timestamps and is rejected (sim::fatal), as is a
      * source that fails mid-stream.
@@ -188,9 +192,6 @@ class Replayer
     const std::string &snapshotImage() const { return snapshotImage_; }
 
   private:
-    /** Records pulled from the source per refill. */
-    static constexpr std::size_t kChunk = 4096;
-
     /** Per-request retry bookkeeping, addressed id mod ring size. */
     struct Inflight
     {
@@ -209,14 +210,19 @@ class Replayer
     /**
      * The drive loop behind every entry point: reset, resume from
      * @p image (Trace sink only; null for a fresh run), schedule the
-     * first chunk of @p src, arm SPO cuts and the snapshot hook, run
+     * first arrival of @p src, arm SPO cuts and the snapshot hook, run
      * the simulator to completion.
      */
     void drive(trace::TraceSource &src, const ReplayOptions &opts,
                const std::string *image);
 
-    /** Pull + schedule the next chunk of arrivals from src_. */
-    void scheduleNextChunk();
+    /**
+     * Schedule the record under the read cursor as the one pending
+     * arrival, refilling the read buffer from src_ when it is spent;
+     * no-op at the end of the source. Each arrival's submit calls it
+     * again for the record after.
+     */
+    void scheduleNextArrival();
 
     /** Submit @p req now, or park it while the device is off. */
     void submitNow(const emmc::IoRequest &req);
@@ -255,10 +261,11 @@ class Replayer
 
     /** @name Per-replay state (reset by drive()). @{ */
     trace::TraceSource *src_ = nullptr;
-    std::vector<trace::TraceRecord> chunk_;
+    std::vector<trace::TraceRecord> chunk_; ///< read buffer (kChunk)
+    std::size_t chunkPos_ = 0;              ///< read cursor into chunk_
+    std::size_t chunkLen_ = 0;              ///< records chunk_ holds
     std::vector<Inflight> ring_;
-    std::uint64_t nextId_ = 0;      ///< id of the next record pulled
-    std::uint64_t chunkLastId_ = 0; ///< its last arrival pulls a chunk
+    std::uint64_t nextId_ = 0; ///< id of the next record scheduled
     std::uint64_t logicalUnits_ = 0;
     bool wrap_ = true;
     std::vector<emmc::IoRequest> parked_; ///< awaiting power-up re-issue

@@ -18,8 +18,6 @@
 #ifndef EMMCSIM_OBS_DEVICE_METRICS_HH
 #define EMMCSIM_OBS_DEVICE_METRICS_HH
 
-#include <string>
-
 #include "obs/metrics.hh"
 
 namespace emmcsim::emmc {
@@ -46,30 +44,23 @@ namespace emmcsim::obs {
  *
  * Wear gauges walk every block of the array and are registered as
  * snapshot-only (sampled == false).
- *
- * @param prefix Optional name prefix (must end with '.' when
- *        non-empty), used when one registry holds several devices.
  */
 void registerDeviceMetrics(Registry &registry,
-                           const emmc::EmmcDevice &device,
-                           const std::string &prefix = "");
+                           const emmc::EmmcDevice &device);
 
 /** Register host-side replay/retry counters ("host.replay.*"). */
 void registerReplayerMetrics(Registry &registry,
-                             const host::ReplayStats &stats,
-                             const std::string &prefix = "");
+                             const host::ReplayStats &stats);
 
 /**
- * Register event-core scheduler metrics ("sim.events.*"): schedule,
- * compaction and drain-sort counts, live events, heap and staged-run
- * occupancy, and the arena high-water mark. Pure pull-side closures
- * over the queue's
- * existing counters — nothing is added to the event hot path, and a
- * run without --metrics never reads them (zero-cost when off).
+ * Register event-core scheduler metrics ("sim.events.*"): schedule
+ * and compaction counts, live events, heap occupancy, and the arena
+ * high-water mark. Pure pull-side closures over the queue's existing
+ * counters — nothing is added to the event hot path, and a run
+ * without --metrics never reads them (zero-cost when off).
  */
 void registerEventCoreMetrics(Registry &registry,
-                              const sim::Simulator &simulator,
-                              const std::string &prefix = "");
+                              const sim::Simulator &simulator);
 
 } // namespace emmcsim::obs
 

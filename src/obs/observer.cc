@@ -5,28 +5,32 @@
 
 namespace emmcsim::obs {
 
+namespace {
+
+/** Slowest requests the attribution summary lists. */
+constexpr std::size_t kSlowestRequests = 10;
+
+} // namespace
+
 DeviceObserver::DeviceObserver(sim::Simulator &simulator,
                                emmc::EmmcDevice &device,
                                const ObserverOptions &opts)
     : sim_(simulator), device_(device), opts_(opts)
 {
     if (metricsEnabled()) {
-        registerDeviceMetrics(registry_, device_, opts_.prefix);
+        registerDeviceMetrics(registry_, device_);
         if (opts_.eventCore)
-            registerEventCoreMetrics(registry_, sim_, opts_.prefix);
+            registerEventCoreMetrics(registry_, sim_);
         if (opts_.replayStats != nullptr)
-            registerReplayerMetrics(registry_, *opts_.replayStats,
-                                    opts_.prefix);
+            registerReplayerMetrics(registry_, *opts_.replayStats);
         responseMsHist_ = &registry_.makeHistogram(
-            opts_.prefix + "emmc.latency.response_ms",
-            sim::latencyBoundsMs());
+            "emmc.latency.response_ms", sim::latencyBoundsMs());
         serviceMsHist_ = &registry_.makeHistogram(
-            opts_.prefix + "emmc.latency.service_ms",
-            sim::latencyBoundsMs());
+            "emmc.latency.service_ms", sim::latencyBoundsMs());
     }
 
     if (opts_.attribution)
-        recorder_ = std::make_unique<AttributionRecorder>(opts_.slowestK);
+        recorder_ = std::make_unique<AttributionRecorder>(kSlowestRequests);
 
     if (metricsEnabled() || opts_.trace || opts_.attribution) {
         device_.setTraceHook([this](const emmc::CompletedRequest &c) {

@@ -20,8 +20,6 @@
 #ifndef EMMCSIM_OBS_OBSERVER_HH
 #define EMMCSIM_OBS_OBSERVER_HH
 
-#include <string>
-
 #include "obs/attribution.hh"
 #include "obs/device_metrics.hh"
 #include "obs/metrics.hh"
@@ -60,8 +58,6 @@ struct ObserverOptions
      * report's "attribution" section.
      */
     bool attribution = false;
-    /** Slowest-request count kept by the attribution summary. */
-    std::size_t slowestK = 10;
     /**
      * Include scheduler self-metrics ("sim.events.*"). These count
      * event-core activity in this process, not simulated device
@@ -71,8 +67,6 @@ struct ObserverOptions
      * across snapshot resume.
      */
     bool eventCore = true;
-    /** Metric name prefix (must end with '.' when non-empty). */
-    std::string prefix;
 
     bool any() const
     {

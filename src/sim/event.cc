@@ -1,6 +1,5 @@
 #include "sim/event.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -20,11 +19,9 @@ EventQueue::cancel(EventId id)
     EMMCSIM_DCHECK(liveCount_ > 0,
                    "cancel with zero live events (ledger drift)");
     --liveCount_;
-    // The pending entry (heap or drain run) stays behind as a dead
-    // entry (lazy delete).
+    // The heap entry stays behind as a dead entry (lazy delete).
     ++deadEntries_;
-    if (deadEntries_ > pendingEntries() / 2 &&
-        pendingEntries() >= kCompactMin)
+    if (deadEntries_ > heap_.size() / 2 && heap_.size() >= kCompactMin)
         compact();
     return true;
 }
@@ -38,102 +35,11 @@ EventQueue::retireSlot(std::uint32_t slot)
 }
 
 void
-EventQueue::sortRunEntries() const
-{
-    // Bucket-distribution sort by (when, seq): interpolate each
-    // entry's time into ~n buckets, scatter once, std::sort the rare
-    // oversized bucket, and finish with one insertion pass (nearly
-    // sorted input, ~2 compares per element). On random times this is
-    // ~5x faster than std::sort, whose branchy partitioning
-    // mispredicts on every compare; on degenerate distributions it
-    // falls back to the per-bucket std::sort and stays O(n log n).
-    const std::size_t n = run_.size();
-    if (n < 2)
-        return;
-    Time lo = run_[0].when;
-    Time hi = run_[0].when;
-    for (const HeapEntry &e : run_) {
-        lo = std::min(lo, e.when);
-        hi = std::max(hi, e.when);
-    }
-    if (lo == hi) {
-        // Single tick: FIFO order is just the sequence number.
-        std::sort(run_.begin(), run_.end(),
-                  [](const HeapEntry &a, const HeapEntry &b) {
-                      return a.seq < b.seq;
-                  });
-        return;
-    }
-    std::size_t buckets = 1;
-    while (buckets < n)
-        buckets <<= 1;
-    // 128-bit intermediate: (hi - lo) can span the full Time range.
-    const unsigned __int128 range =
-        static_cast<unsigned __int128>(
-            static_cast<std::uint64_t>(hi - lo)) +
-        1;
-    auto bucketOf = [&](Time w) {
-        return static_cast<std::size_t>(
-            (static_cast<unsigned __int128>(
-                 static_cast<std::uint64_t>(w - lo)) *
-             buckets) /
-            range);
-    };
-    sortCounts_.assign(buckets + 1, 0);
-    for (const HeapEntry &e : run_)
-        ++sortCounts_[bucketOf(e.when)];
-    std::uint32_t sum = 0;
-    for (std::size_t i = 0; i <= buckets; ++i) {
-        const std::uint32_t c = sortCounts_[i];
-        sortCounts_[i] = sum;
-        sum += c;
-    }
-    // The run/heap/scratch buffers rotate through the final swap (and
-    // sortPendingIntoRun's); carry the largest capacity along so a
-    // sort over a front-trimmed set (n one less than peak) never
-    // plants an undersized buffer that reallocs when it rotates back
-    // into the heap at peak load.
-    if (sortScratch_.capacity() < run_.capacity())
-        sortScratch_.reserve(run_.capacity());
-    sortScratch_.resize(n);
-    for (const HeapEntry &e : run_)
-        sortScratch_[sortCounts_[bucketOf(e.when)]++] = e;
-    // sortCounts_[i] is now bucket i's end offset.
-    std::uint32_t start = 0;
-    for (std::size_t i = 0; i < buckets; ++i) {
-        const std::uint32_t end = sortCounts_[i];
-        if (end - start > 16)
-            std::sort(sortScratch_.begin() + start,
-                      sortScratch_.begin() + end, earlier);
-        start = end;
-    }
-    for (std::size_t i = 1; i < n; ++i) {
-        if (!earlier(sortScratch_[i], sortScratch_[i - 1]))
-            continue;
-        const HeapEntry x = sortScratch_[i];
-        std::size_t j = i;
-        while (j > 0 && earlier(x, sortScratch_[j - 1])) {
-            sortScratch_[j] = sortScratch_[j - 1];
-            --j;
-        }
-        sortScratch_[j] = x;
-    }
-    run_.swap(sortScratch_);
-}
-
-void
 EventQueue::compact()
 {
-    // Sweep every dead entry in place — the run keeps its sorted
-    // order and the heap is rebuilt bottom-up (Floyd): O(n) total,
-    // amortised O(1) per cancel by the > n/2 trigger.
-    std::size_t runKept = 0;
-    for (std::size_t i = runPos_; i < run_.size(); ++i) {
-        if (entryLive(run_[i]))
-            run_[runKept++] = run_[i];
-    }
-    run_.resize(runKept);
-    runPos_ = 0;
+    // Sweep every dead entry in place and rebuild the heap bottom-up
+    // (Floyd): O(n) total, amortised O(1) per cancel by the > n/2
+    // trigger.
     std::size_t kept = 0;
     for (std::size_t i = 0; i < heap_.size(); ++i) {
         if (entryLive(heap_[i]))
@@ -151,9 +57,7 @@ EventQueue::compact()
 Time
 EventQueue::nextTime() const
 {
-    settleFronts();
-    if (runFrontFirst())
-        return run_[runPos_].when;
+    dropDeadFront();
     return heap_.empty() ? kTimeNever : heap_.front().when;
 }
 
@@ -237,15 +141,14 @@ EventQueue::auditInvariants(std::vector<std::string> &violations) const
     check(!liveWithoutAction,
           "event queue: live slot lost its action");
 
-    // Pending coverage: each live slot has exactly one live entry
-    // across the heap and the unconsumed tail of the drain run, and
-    // the dead-entry counter equals the recount.
+    // Heap coverage: each live slot has exactly one live heap entry,
+    // and the dead-entry counter equals the recount.
     std::size_t liveEntries = 0;
     std::size_t deadEntries = 0;
     std::vector<bool> seen(slotCount_, false);
     bool duplicated = false;
     bool seqSane = true;
-    auto visit = [&](const HeapEntry &e) {
+    for (const HeapEntry &e : heap_) {
         // Each band has its own counter: a pending entry must carry a
         // sequence number its band already issued.
         if (e.seq < kNormalSeqBase ? e.seq >= nextFrontSeq_
@@ -253,42 +156,29 @@ EventQueue::auditInvariants(std::vector<std::string> &violations) const
             seqSane = false;
         if (!entryLive(e)) {
             ++deadEntries;
-            return;
+            continue;
         }
         ++liveEntries;
         if (seen[e.slot])
             duplicated = true;
         seen[e.slot] = true;
-    };
-    for (const HeapEntry &e : heap_)
-        visit(e);
-    for (std::size_t i = runPos_; i < run_.size(); ++i)
-        visit(run_[i]);
+    }
     check(!duplicated,
-          "event queue: live slot appears twice in the pending set");
+          "event queue: live slot appears twice in the heap");
     check(liveEntries == liveCount_,
-          "event queue: pending live-entry count disagrees with the "
+          "event queue: live heap-entry count disagrees with the "
           "ledger");
     check(deadEntries == deadEntries_,
           "event queue: dead-entry counter disagrees with a recount");
 
     // Structural order: the heap property ((when, seq) parent <=
-    // children) on the heap, sortedness on the drain run, and
-    // sequence-number sanity everywhere.
+    // children) and sequence-number sanity.
     bool ordered = true;
     for (std::size_t i = 1; i < heap_.size(); ++i) {
         if (earlier(heap_[i], heap_[(i - 1) / kArity]))
             ordered = false;
     }
     check(ordered, "event queue: heap ordering property violated");
-    bool runSorted = true;
-    for (std::size_t i = runPos_ + 1; i < run_.size(); ++i) {
-        if (earlier(run_[i], run_[i - 1]))
-            runSorted = false;
-    }
-    check(runSorted, "event queue: drain run lost its sort order");
-    check(runPos_ <= run_.size(),
-          "event queue: drain-run cursor past the end of the run");
     check(seqSane,
           "event queue: pending entry carries an unissued sequence "
           "number");

@@ -23,18 +23,10 @@
  *    sequence number keeps same-tick events firing in scheduling
  *    order (FIFO), which the replayer relies on for simultaneous
  *    arrivals. Cancellation leaves a dead entry behind (detected by
- *    generation mismatch), and the pending set is compacted in place
- *    when dead entries dominate.
- *
- *  - **Sorted drain run.** Popping n events off a large heap touches
- *    O(log n) scattered cache lines each; sorting the same entries
- *    once costs the same O(n log n) compares but streams memory
- *    sequentially. Past a size threshold the pop path sorts the whole
- *    heap into a run and serves pops from a cursor, prefetching the
- *    slots of upcoming pops. New events still enter the heap, and
- *    every pop takes the earlier of the run and heap fronts, so the
- *    firing order — and byte-for-byte replay output — is exactly the
- *    pure (time, sequence) order. A firing event's generation is
+ *    generation mismatch), and the heap is compacted in place when
+ *    dead entries dominate. The heap is the only pending structure:
+ *    the replayer keeps one arrival pending at a time, so it stays as
+ *    small as the in-flight window. A firing event's generation is
  *    bumped *before* its action runs, so it can no longer be
  *    cancelled, and its slot is recycled only after the action
  *    returns.
@@ -121,13 +113,13 @@ class EventQueue
      * front-band event fires before every normal-band event, no matter
      * when either was scheduled.
      *
-     * Replay arrivals use this. The in-memory replayer schedules all
-     * arrivals before anything else, so they historically won every
-     * same-tick tie against completions by holding the lowest sequence
-     * numbers; a streaming replayer schedules arrivals chunk by chunk
-     * *during* the run and would lose those ties. Putting arrivals in
-     * their own low band makes both paths pop in the same order — the
-     * byte-identity contract between them rests on this.
+     * Replay arrivals use this. The replayer keeps one arrival pending
+     * and schedules record k+1 from inside record k's submit, *during*
+     * the run, so in the normal band an arrival would lose same-tick
+     * ties to completions and GC ticks scheduled before it. Its own
+     * low band makes every arrival win those ties, so events fire as
+     * if the whole trace had been scheduled up front — the golden
+     * replay and the in-memory/streamed byte identity rest on this.
      *
      * Front-band events are FIFO among themselves (their own counter).
      */
@@ -229,17 +221,10 @@ class EventQueue
         HeapEntry e;
         if (!takeEarliest(e))
             return false;
-        // Upcoming events' slots are random (cold) cache lines; start
-        // pulling them in while the current action runs. The drain run
-        // exposes the exact pop order, so prefetch several pops ahead.
-        if (runPos_ < run_.size()) {
-            const std::size_t ahead =
-                std::min(runPos_ + kPrefetchAhead, run_.size() - 1);
-            __builtin_prefetch(&slotAt(run_[ahead].slot));
-            __builtin_prefetch(&slotAt(run_[runPos_].slot));
-        } else if (!heap_.empty()) {
+        // The next event's slot is a random (cold) cache line; start
+        // pulling it in while the current action runs.
+        if (!heap_.empty())
             __builtin_prefetch(&slotAt(heap_.front().slot));
-        }
         EMMCSIM_DCHECK(e.when >= lastPopTime_,
                        "event popped out of order");
         lastPopTime_ = e.when;
@@ -285,20 +270,14 @@ class EventQueue
         return firing_ != EventId::kNoSlot ? 1u : 0u;
     }
 
-    /** Cancelled-but-unswept entries across the pending set. */
+    /** Cancelled-but-unswept entries in the heap. */
     std::size_t deadHeapEntries() const { return deadEntries_; }
 
-    /** Times the pending set was compacted (dead entries swept). */
+    /** Times the heap was compacted (dead entries swept). */
     std::uint64_t heapCompactions() const { return compactions_; }
-
-    /** Times the heap was sorted wholesale into a drain run. */
-    std::uint64_t drainSorts() const { return drainSorts_; }
 
     /** Entries currently in the heap (incl. dead). */
     std::size_t heapEntries() const { return heap_.size(); }
-
-    /** Entries staged in the sorted run, not yet consumed. */
-    std::size_t stagedRunEntries() const { return run_.size() - runPos_; }
 
     /** @} */
 
@@ -306,9 +285,8 @@ class EventQueue
      * Append a description of every internal-consistency violation to
      * @p violations under the generation-ledger model: slot/freelist
      * conservation, freelist hygiene (no duplicates, no parked
-     * actions), pending coverage of live slots across the heap and
-     * the staged run, the 4-ary heap ordering property, drain-run
-     * sortedness, dead-entry accounting, and time monotonicity. Safe
+     * actions), heap coverage of live slots, the 4-ary heap ordering
+     * property, dead-entry accounting, and time monotonicity. Safe
      * to call from inside a firing action (device audit hooks do): the
      * in-flight slot is accounted separately.
      *
@@ -342,7 +320,7 @@ class EventQueue
                   "arena slot must stay one cache line; check "
                   "InlineAction's layout before growing it");
 
-    /** One pending entry (heap or drain run). */
+    /** One pending heap entry. */
     struct HeapEntry
     {
         Time when;
@@ -365,17 +343,6 @@ class EventQueue
 
     /** Don't bother compacting pending sets smaller than this. */
     static constexpr std::size_t kCompactMin = 64;
-
-    /**
-     * Sort the heap into a drain run once it reaches this size with no
-     * active run. Small enough that the replayer's steady-state
-     * in-flight window benefits; large enough that a near-empty queue
-     * never pays a sort.
-     */
-    static constexpr std::size_t kDrainSortMin = 256;
-
-    /** How many pops ahead to prefetch slots in drain-run order. */
-    static constexpr std::size_t kPrefetchAhead = 8;
 
     /** Slots per arena chunk (16 KiB chunks of 64-byte slots). */
     static constexpr std::size_t kChunkShift = 8;
@@ -463,20 +430,10 @@ class EventQueue
         heap_[i] = e;
     }
 
-    /** Drop dead (cancelled) entries off the run and heap fronts. */
+    /** Drop dead (cancelled) entries off the heap front. */
     void
-    dropDeadFronts() const
+    dropDeadFront() const
     {
-        while (runPos_ < run_.size() && !entryLive(run_[runPos_])) {
-            ++runPos_;
-            EMMCSIM_DCHECK(deadEntries_ > 0,
-                           "dead run entry not accounted for");
-            --deadEntries_;
-        }
-        if (runPos_ == run_.size() && !run_.empty()) {
-            run_.clear(); // fully consumed; keep capacity
-            runPos_ = 0;
-        }
         while (!heap_.empty() && !entryLive(heap_.front())) {
             heapPopFront();
             EMMCSIM_DCHECK(deadEntries_ > 0,
@@ -485,76 +442,16 @@ class EventQueue
         }
     }
 
-    /**
-     * Sort the entire heap into the (empty) drain run. One sequential
-     * bucket-distribution sort replaces n cache-scattered O(log n)
-     * sift-downs; the swap also hands the retired run's capacity to
-     * the heap.
-     */
-    void
-    sortPendingIntoRun() const
-    {
-        run_.swap(heap_);
-        sortRunEntries();
-        runPos_ = 0;
-        ++drainSorts_;
-    }
-
-    /** Sort run_ ascending by (when, seq); see event.cc. */
-    void sortRunEntries() const;
-
-    /**
-     * Bring the earliest live entry to the run or heap front: shed
-     * dead fronts and, once the run is spent and the heap has reached
-     * kDrainSortMin, sort the heap into a fresh run.
-     */
-    void
-    settleFronts() const
-    {
-        dropDeadFronts();
-        if (runPos_ == run_.size() && heap_.size() >= kDrainSortMin) {
-            sortPendingIntoRun();
-            dropDeadFronts(); // the new run may start with dead entries
-        }
-    }
-
-    /** @return true when the run front precedes the heap front. */
-    bool
-    runFrontFirst() const
-    {
-        return runPos_ < run_.size() &&
-               (heap_.empty() || earlier(run_[runPos_], heap_.front()));
-    }
-
-    /**
-     * Remove and return the earliest live pending entry: whichever of
-     * the run and heap fronts is earlier under (when, seq), the same
-     * total order a pure heap pops in.
-     */
+    /** Remove and return the earliest live heap entry. */
     bool
     takeEarliest(HeapEntry &out)
     {
-        settleFronts();
-        if (runFrontFirst()) {
-            out = run_[runPos_++];
-            if (runPos_ == run_.size()) {
-                run_.clear();
-                runPos_ = 0;
-            }
-            return true;
-        }
+        dropDeadFront();
         if (heap_.empty())
             return false;
         out = heap_.front();
         heapPopFront();
         return true;
-    }
-
-    /** Live + dead entries still pending. */
-    std::size_t
-    pendingEntries() const
-    {
-        return heap_.size() + (run_.size() - runPos_);
     }
 
     /** Sweep all dead entries and re-heapify (Floyd build). */
@@ -564,13 +461,7 @@ class EventQueue
     void retireSlot(std::uint32_t slot);
 
     mutable std::vector<HeapEntry> heap_; ///< 4-ary heap
-    mutable std::vector<HeapEntry> run_;  ///< sorted drain run
-    mutable std::size_t runPos_ = 0;      ///< next unconsumed run entry
     mutable std::size_t deadEntries_ = 0;
-    mutable std::uint64_t drainSorts_ = 0;
-    /// Reused scratch for sortRunEntries (alloc-free steady state).
-    mutable std::vector<HeapEntry> sortScratch_;
-    mutable std::vector<std::uint32_t> sortCounts_;
 
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::size_t slotCount_ = 0;

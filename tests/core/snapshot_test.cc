@@ -131,9 +131,9 @@ TEST(Snapshot, ResumeIsByteIdenticalToUninterruptedRun)
 
 TEST(Snapshot, ResumeMidChunkIsByteIdentical)
 {
-    // Arrivals are pulled a 4096-record chunk at a time. A resumed run
-    // restarts its chunks at the capture's arrival count, so capture
-    // past the first chunk and off a chunk boundary.
+    // The replayer reads the source a 4096-record chunk at a time. A
+    // resumed run restarts its read chunks at the capture's arrival
+    // count, so capture past the first chunk and off a chunk boundary.
     trace::Trace t = genTrace("Booting", 0.5);
     ASSERT_GT(t.size(), 2u * 4096u);
     const std::uint64_t arrivals =
@@ -316,6 +316,35 @@ TEST(Snapshot, DeviceLoadRejectsSlabLpnOutsideLogicalSpace)
         d.dev->ftl().logicalUnits() + 5);
     pool.corruptUnitForTest(ppn, 0, flash::Lpn{beyond}, /*valid=*/false);
     EXPECT_FALSE(d.reloads());
+}
+
+TEST(Snapshot, FtlLoadRejectsNonBooleanProgramFlag)
+{
+    ReplayedDevice d(genTrace("Twitter", 0.05));
+    ASSERT_TRUE(d.reloads());
+
+    // The FTL section of a device image (after the injector and the
+    // array) ends with the last host program: the valid flag (1 byte),
+    // plane and pool (u32 each), ppn (u64) and completion time (i64).
+    core::BinWriter upToFtl;
+    d.dev->faultInjector().save(upToFtl);
+    d.dev->array().save(upToFtl);
+    d.dev->ftl().save(upToFtl);
+    const std::size_t flagAt = upToFtl.data().size() - (1 + 4 + 4 + 8 + 8);
+
+    core::BinWriter w;
+    d.dev->save(w);
+    const std::string good = w.data();
+    ASSERT_LE(static_cast<unsigned char>(good[flagAt]), 1u);
+    for (const int bad : {2, 0xff}) {
+        std::string image = good;
+        image[flagAt] = static_cast<char>(bad);
+        sim::Simulator s2;
+        auto copy = makeDevice(s2, SchemeKind::HPS);
+        core::BinReader r(image);
+        copy->load(r);
+        EXPECT_FALSE(r.ok()) << "valid byte " << bad;
+    }
 }
 
 TEST(Snapshot, GarbageImageIsRejected)

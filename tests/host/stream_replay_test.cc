@@ -14,6 +14,7 @@
 #include "emmc/device.hh"
 #include "host/replayer.hh"
 #include "obs/report.hh"
+#include "trace/binfmt.hh"
 #include "trace/source.hh"
 #include "workload/fixed.hh"
 
@@ -258,4 +259,34 @@ TEST(StreamReplay, RunReportByteIdenticalToInMemoryPath)
     };
     EXPECT_EQ(render(a), render(b))
         << "streaming replay diverged from the in-memory path";
+}
+
+TEST(StreamReplay, PendingArrivalsDoNotScaleWithTraceLength)
+{
+    // The replayer keeps one arrival scheduled at a time, so the event
+    // arena peaks at the in-flight window: the same small figure for a
+    // trace just past one read chunk and for one three chunks long,
+    // replayed in memory or streamed from emmctrace-bin.
+    auto highWater = [](const trace::Trace &t, bool streamed) {
+        sim::Simulator s;
+        auto dev = tinyDevice(s);
+        host::Replayer rep(s, *dev);
+        if (streamed) {
+            const std::string path = testing::TempDir() + "/pending.bin";
+            trace::saveBinTraceFile(t, path);
+            trace::BinTraceSource src(path);
+            EXPECT_FALSE(src.failed()) << src.error().message();
+            EXPECT_EQ(rep.replayStream(src).requests, t.size());
+        } else {
+            EXPECT_EQ(rep.replay(t).size(), t.size());
+        }
+        return s.events().arenaHighWater();
+    };
+    const trace::Trace shortTrace = mixedTrace(host::Replayer::kChunk + 1);
+    const trace::Trace longTrace = mixedTrace(3 * host::Replayer::kChunk);
+    const std::size_t peak = highWater(shortTrace, false);
+    EXPECT_LE(peak, 4u);
+    EXPECT_EQ(highWater(longTrace, false), peak);
+    EXPECT_EQ(highWater(shortTrace, true), peak);
+    EXPECT_EQ(highWater(longTrace, true), peak);
 }
